@@ -50,7 +50,7 @@ void BM_DstormRound(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     Fabric fabric(engine, nodes, FabricOptions{});
-    DstormDomain domain(engine, fabric, nodes);
+    DstormDomain domain(fabric, nodes);
     for (int rank = 0; rank < nodes; ++rank) {
       engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
         Dstorm& d = domain.node(rank);
@@ -84,7 +84,7 @@ void BM_SparseEncodeScatter(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     Fabric fabric(engine, 2, FabricOptions{});
-    DstormDomain domain(engine, fabric, 2);
+    DstormDomain domain(fabric, 2);
     for (int rank = 0; rank < 2; ++rank) {
       engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
         Dstorm& d = domain.node(rank);

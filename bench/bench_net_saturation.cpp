@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   malt::Engine engine;
   malt::FabricOptions fabric_opts;  // paper-default network model
   malt::Fabric fabric(engine, nodes, fabric_opts);
-  malt::DstormDomain domain(engine, fabric, nodes);
+  malt::DstormDomain domain(fabric, nodes);
 
   const size_t obj_bytes = obj_mb * 1024 * 1024;
   std::vector<malt::SimTime> finish(static_cast<size_t>(nodes), 0);

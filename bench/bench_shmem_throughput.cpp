@@ -32,7 +32,7 @@
 #include "src/dstorm/dstorm.h"
 #include "src/shmem/rank_ctx.h"
 #include "src/shmem/shmem_transport.h"
-#include "src/telemetry/stream.h"
+#include "src/telemetry/telemetry.h"
 
 namespace malt {
 namespace {
@@ -93,14 +93,13 @@ struct DstormRates {
 
 // Full-protocol rounds: each rank scatters its object all-to-all and gathers
 // whatever has arrived, `iters` rounds, no barriers (the ASP-style hot path).
-// Pass `telemetry` to control flow tracing; pass a `streamer` plus interval
-// to also run the wall-clock NDJSON sampler alongside the workers (the
-// observability-overhead configuration). `warmup` rounds run untimed first
+// Pass `telemetry` to control flow tracing; give it a sink and pass an
+// interval to also run the wall-clock NDJSON sampler alongside the workers
+// (the observability-overhead configuration). `warmup` rounds run untimed first
 // inside the same transport, so one-time costs (trace-ring page faults, lazy
 // per-edge metric resolution) don't pollute the measured window.
 DstormRates DstormRounds(int ranks, size_t bytes, int iters,
-                         TelemetryDomain* telemetry = nullptr,
-                         MetricsStreamer* streamer = nullptr, int sample_interval_ms = 0,
+                         TelemetryDomain* telemetry = nullptr, int sample_interval_ms = 0,
                          int warmup = 0) {
   ShmemTransport t(ranks, ShmemOptions{}, telemetry);
   DstormDomain domain(t, ranks, telemetry);
@@ -118,13 +117,13 @@ DstormRates DstormRounds(int ranks, size_t bytes, int iters,
 
   std::atomic<bool> done{false};
   std::thread sampler;
-  if (streamer != nullptr && sample_interval_ms > 0) {
+  if (telemetry != nullptr && telemetry->has_sink() && sample_interval_ms > 0) {
     sampler = std::thread([&] {
       const auto interval = std::chrono::milliseconds(sample_interval_ms);
       auto next = std::chrono::steady_clock::now() + interval;
       while (!done.load(std::memory_order_acquire)) {
         if (std::chrono::steady_clock::now() >= next) {
-          streamer->Sample(t.now());
+          telemetry->Sample(t.now());
           next += interval;
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -169,7 +168,7 @@ DstormRates DstormRounds(int ranks, size_t bytes, int iters,
   done.store(true, std::memory_order_release);
   if (sampler.joinable()) {
     sampler.join();
-    streamer->Finish(t.now());
+    telemetry->Sample(t.now(), /*force=*/true);
   }
   DstormRates r;
   r.seconds = SecondsSince(t0);
@@ -246,13 +245,14 @@ int main(int argc, char** argv) {
         off_topt.flow_events = false;
         malt::TelemetryDomain off_dom(overhead_ranks, off_topt);
         const malt::DstormRates off = malt::DstormRounds(
-            overhead_ranks, static_cast<size_t>(bytes), iters, &off_dom, nullptr, 0, warmup);
+            overhead_ranks, static_cast<size_t>(bytes), iters, &off_dom, 0, warmup);
         off_secs = rep == 0 ? off.seconds : std::min(off_secs, off.seconds);
 
-        malt::TelemetryDomain on_dom(overhead_ranks);  // flow_events on by default
-        malt::MetricsStreamer streamer(&on_dom, "/dev/null");
+        malt::TelemetryOptions on_topt;  // flow_events on by default
+        on_topt.out_path = "/dev/null";
+        malt::TelemetryDomain on_dom(overhead_ranks, on_topt);
         const malt::DstormRates on = malt::DstormRounds(
-            overhead_ranks, static_cast<size_t>(bytes), iters, &on_dom, &streamer, 50, warmup);
+            overhead_ranks, static_cast<size_t>(bytes), iters, &on_dom, 50, warmup);
         on_secs = rep == 0 ? on.seconds : std::min(on_secs, on.seconds);
       }
       const double total_bytes =

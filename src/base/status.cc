@@ -1,5 +1,7 @@
 #include "src/base/status.h"
 
+#include "src/base/log.h"
+
 namespace malt {
 
 std::string_view StatusCodeName(StatusCode code) {
@@ -71,6 +73,11 @@ Status AbortedError(std::string message) {
 }
 Status InternalError(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
+}
+
+void DieOnErrorValue(const Status& status) {
+  MALT_CHECK(status.ok()) << "Result::value() on error: " << status.ToString();
+  __builtin_unreachable();
 }
 
 }  // namespace malt

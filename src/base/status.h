@@ -72,6 +72,9 @@ Status ResourceExhaustedError(std::string message);
 Status AbortedError(std::string message);
 Status InternalError(std::string message);
 
+// Fatal check failure for Result<T>::value() on an error (prints the status).
+[[noreturn]] void DieOnErrorValue(const Status& status);
+
 // Result<T> holds either a value or a non-OK Status.
 template <typename T>
 class [[nodiscard]] Result {
@@ -89,15 +92,15 @@ class [[nodiscard]] Result {
   }
 
   T& value() & {
-    assert(ok());
+    CheckOk();
     return std::get<T>(rep_);
   }
   const T& value() const& {
-    assert(ok());
+    CheckOk();
     return std::get<T>(rep_);
   }
   T&& value() && {
-    assert(ok());
+    CheckOk();
     return std::get<T>(std::move(rep_));
   }
 
@@ -107,6 +110,14 @@ class [[nodiscard]] Result {
   const T* operator->() const { return &value(); }
 
  private:
+  // Reading the value of an error is a programming bug in every build type:
+  // fail loudly with the status text instead of a bad_variant_access.
+  void CheckOk() const {
+    if (!ok()) {
+      DieOnErrorValue(std::get<Status>(rep_));
+    }
+  }
+
   std::variant<Status, T> rep_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 
 #include "src/base/hash.h"
 #include "src/base/log.h"
@@ -763,15 +762,6 @@ std::string ProtocolChecker::ReportJson() const {
   }
   out += "]}";
   return out;
-}
-
-Status ProtocolChecker::WriteReportJson(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.good()) {
-    return InternalError("cannot open " + path + " for writing");
-  }
-  out << ReportJson() << '\n';
-  return out.good() ? OkStatus() : InternalError("write to " + path + " failed");
 }
 
 // --- SeqLockDiscipline --------------------------------------------------------

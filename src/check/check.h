@@ -276,8 +276,8 @@ class ProtocolChecker {
   }
 
   // {"level":...,"events":N,"violations":N,"by_kind":{...},"samples":[...]}
+  // (the telemetry sink's "check" record body at run end).
   std::string ReportJson() const;
-  [[nodiscard]] Status WriteReportJson(const std::string& path) const;
 
  private:
   // One committed slot generation: what a consistent read of the slot at

@@ -332,14 +332,18 @@ Malt::Malt(MaltOptions options)
   checker_.BindTelemetry(&telemetry_);
   checker_.SetStalenessBound(options_.staleness);
   health_ = std::make_unique<HealthMonitor>(&telemetry_, options_.ranks);
-  if (!options_.telemetry.postmortem_path.empty()) {
-    flightrec_ = std::make_unique<FlightRecorder>(options_.telemetry.postmortem_path);
+  if (telemetry_.has_sink()) {
+    flightrec_ = std::make_unique<FlightRecorder>(&telemetry_);
     WireFlightRecorder();
   }
 }
 
 SimTime Malt::RunClockNow() const {
   return engine_ != nullptr ? engine_->now() : shmem_->clock().NowNs();
+}
+
+bool Malt::Sampling() const {
+  return options_.telemetry.metrics_interval_ms > 0 && telemetry_.has_sink();
 }
 
 void Malt::DumpPostmortem(const char* reason) {
@@ -388,23 +392,10 @@ void Malt::WireFlightRecorder() {
     constexpr size_t kMaxPaths = 64;
     const size_t begin = paths.size() > kMaxPaths ? paths.size() - kMaxPaths : 0;
     for (size_t i = begin; i < paths.size(); ++i) {
-      const CriticalPathRecord& rec = paths[i];
       if (i > begin) {
         out->push_back(',');
       }
-      out->append("{\"epoch\":");
-      AppendJsonNumber(out, static_cast<double>(rec.epoch));
-      out->append(",\"critical_rank\":");
-      AppendJsonNumber(out, static_cast<double>(rec.critical_rank));
-      out->append(",\"wall_ns\":");
-      AppendJsonNumber(out, static_cast<double>(rec.wall_ns));
-      out->append(",\"wait_ns\":");
-      AppendJsonNumber(out, static_cast<double>(rec.wait_ns));
-      out->append(",\"waiting_on\":");
-      AppendJsonNumber(out, static_cast<double>(rec.waiting_on));
-      out->append(",\"straggler\":");
-      AppendJsonNumber(out, static_cast<double>(rec.straggler));
-      out->push_back('}');
+      AppendCriticalPathJson(out, paths[i]);
     }
     out->push_back(']');
   });
@@ -430,8 +421,8 @@ void Malt::WireFlightRecorder() {
     out->push_back(']');
   });
   flightrec_->AddSection("trace_tail", [this](std::string* out) {
-    // The newest events of every rank's ring, one compact object each —
-    // enough to see what each rank was doing when the run died.
+    // The newest events of every rank's ring, rendered as in the Chrome
+    // trace — enough to see what each rank was doing when the run died.
     constexpr size_t kTailPerRank = 64;
     out->push_back('[');
     bool first = true;
@@ -444,21 +435,7 @@ void Malt::WireFlightRecorder() {
           out->push_back(',');
         }
         first = false;
-        out->append("{\"rank\":");
-        AppendJsonNumber(out, static_cast<double>(rank));
-        out->append(",\"name\":");
-        AppendJsonEscaped(out, ev.name);
-        out->append(",\"ph\":");
-        AppendJsonEscaped(out, std::string(1, ev.ph));
-        out->append(",\"ts\":");
-        AppendJsonNumber(out, static_cast<double>(ev.ts));
-        if (ev.arg_name != nullptr) {
-          out->push_back(',');
-          AppendJsonEscaped(out, ev.arg_name);
-          out->push_back(':');
-          AppendJsonNumber(out, static_cast<double>(ev.arg));
-        }
-        out->push_back('}');
+        AppendTraceEventJson(out, ev, ev.tid >= 0 ? ev.tid : rank);
       }
     }
     out->push_back(']');
@@ -487,16 +464,11 @@ void Malt::ScheduleKill(int rank, double at_seconds) {
 void Malt::Run(const std::function<void(Worker&)>& body) {
   MALT_CHECK(!ran_) << "Malt::Run called twice";
   ran_ = true;
-  const TelemetryOptions& topt = options_.telemetry;
-  if (topt.metrics_interval_ms > 0 && !topt.metrics_stream_path.empty()) {
-    streamer_ = std::make_unique<MetricsStreamer>(&telemetry_, topt.metrics_stream_path);
-    health_->BindStreamer(streamer_.get());
-  }
   if (flightrec_ != nullptr) {
     // Process-wide dump target for the fatal-check hook (and, if the driver
     // opted in, the fatal-signal handlers), with a first pre-serialized
-    // snapshot so even an immediate crash dumps a (sparse) bundle.
-    flightrec_->Activate(topt.postmortem_signals);
+    // snapshot so even an immediate crash dumps a (sparse) record.
+    flightrec_->Activate(options_.telemetry.postmortem_signals);
     flightrec_->RefreshSnapshot(0);
   }
   if (options_.transport == TransportKind::kSim) {
@@ -505,7 +477,7 @@ void Malt::Run(const std::function<void(Worker&)>& body) {
     RunShmem(body);
   }
   // Fold the trace rings' drop counts into the metric registries so post-run
-  // exports see an accurate telemetry.trace.dropped even without a streamer.
+  // exports see an accurate telemetry.trace.dropped even without a sampler.
   telemetry_.SyncTraceDroppedCounters();
   const SimTime end = RunClockNow();
   // Abnormal-exit audit: ranks that died without unwinding through the
@@ -521,6 +493,12 @@ void Malt::Run(const std::function<void(Worker&)>& body) {
     flightrec_->RefreshSnapshot(end);
     if (survivors() < options_.ranks) {
       flightrec_->Dump("rank_death", end);
+    }
+  }
+  if (telemetry_.has_sink()) {
+    telemetry_.Emit("metrics", telemetry_.MetricsJson());
+    if (checker_.enabled()) {
+      telemetry_.Emit("check", checker_.ReportJson());
     }
   }
 }
@@ -544,7 +522,7 @@ void Malt::RunSim(const std::function<void(Worker&)>& body) {
       worker.dstorm_->FinishBarriers();
     });
   }
-  if (streamer_ != nullptr) {
+  if (Sampling()) {
     // Auxiliary sampler process (pid == ranks): wakes every interval of
     // *virtual* time, snapshots a delta record, and exits once every rank
     // process has finished or been killed. Kill injection never targets it
@@ -563,12 +541,12 @@ void Malt::RunSim(const std::function<void(Worker&)>& body) {
         return true;
       };
       while (!proc.WaitUntilOr(all_ranks_done, proc.now() + interval)) {
-        streamer_->Sample(proc.now());
+        telemetry_.Sample(proc.now());
         if (flightrec_ != nullptr) {
           flightrec_->RefreshSnapshot(proc.now());
         }
       }
-      streamer_->Finish(proc.now());
+      telemetry_.Sample(proc.now(), /*force=*/true);
     });
   }
   engine_->Run();
@@ -620,18 +598,18 @@ void Malt::RunShmem(const std::function<void(Worker&)>& body) {
     });
   }
 
-  // Wall-clock metrics sampler: snapshots NDJSON delta records while the
-  // rank threads run. All the cells it reads are atomics or internally
-  // locked, so sampling mid-run is TSan-clean.
+  // Wall-clock metrics sampler: appends "sample" records while the rank
+  // threads run. All the cells it reads are atomics or internally locked,
+  // so sampling mid-run is TSan-clean.
   std::thread sampler;
-  if (streamer_ != nullptr) {
+  if (Sampling()) {
     const auto interval = std::chrono::milliseconds(options_.telemetry.metrics_interval_ms);
     sampler = std::thread([this, &run_done, interval] {
       auto next = std::chrono::steady_clock::now() + interval;
       while (!run_done.load(std::memory_order_acquire)) {
         if (std::chrono::steady_clock::now() >= next) {
           const SimTime now = shmem_->clock().NowNs();
-          streamer_->Sample(now);
+          telemetry_.Sample(now);
           // Keep the signal handler's pre-serialized postmortem snapshot
           // fresh at the sampler cadence.
           if (flightrec_ != nullptr) {
@@ -680,8 +658,8 @@ void Malt::RunShmem(const std::function<void(Worker&)>& body) {
   if (sampler.joinable()) {
     sampler.join();
   }
-  if (streamer_ != nullptr) {
-    streamer_->Finish(shmem_->clock().NowNs());
+  if (Sampling()) {
+    telemetry_.Sample(shmem_->clock().NowNs(), /*force=*/true);
   }
 }
 

@@ -31,7 +31,6 @@
 #include "src/simnet/fabric.h"
 #include "src/telemetry/flightrec.h"
 #include "src/telemetry/health.h"
-#include "src/telemetry/stream.h"
 #include "src/vol/accumulator.h"
 #include "src/vol/malt_vector.h"
 
@@ -176,8 +175,10 @@ class Malt {
   const TrafficStats& traffic() const { return transport_->stats(); }
 
   // Cluster telemetry: every layer of every rank (fabric, dstorm, fault,
-  // VOL, worker) records into this domain. Use MetricsJson()/TraceJson()
-  // (or the Write* variants) after Run() for machine-readable exports.
+  // VOL, worker) records into this domain. With TelemetryOptions::out_path
+  // set, Run() streams typed NDJSON records into its sink (samples, critical
+  // paths, and the run-end "metrics" and "check" records); TraceJson() /
+  // WriteChromeTrace() export the trace rings after Run().
   TelemetryDomain& telemetry() { return telemetry_; }
   const TelemetryDomain& telemetry() const { return telemetry_; }
 
@@ -200,25 +201,19 @@ class Malt {
   // May be called once.
   void Run(const std::function<void(Worker&)>& body);
 
-  // The background metrics sampler, when the run streams NDJSON telemetry
-  // (TelemetryOptions::metrics_interval_ms > 0 with a metrics_stream_path).
-  // Null otherwise. Under sim it runs as an auxiliary engine process on
-  // virtual time; under shmem as a wall-clock thread.
-  MetricsStreamer* metrics_streamer() { return streamer_.get(); }
-
   // The rank-health layer: epoch critical paths, straggler watermarks
   // (src/telemetry/health.h). Always present; populated by workers that call
   // Worker::BeginEpoch.
   HealthMonitor& health() { return *health_; }
   const HealthMonitor& health() const { return *health_; }
 
-  // The crash flight recorder, when TelemetryOptions::postmortem_path is set
-  // (bundles dump there on abnormal endings; see src/telemetry/flightrec.h).
-  // Null otherwise.
+  // The crash flight recorder, when TelemetryOptions::out_path is set
+  // ("postmortem" records on abnormal endings; see
+  // src/telemetry/flightrec.h). Null otherwise.
   FlightRecorder* flight_recorder() { return flightrec_.get(); }
 
-  // Driver hook: refresh and dump a postmortem bundle right now (malt_run
-  // calls this when the protocol checker reported violations, so the bundle
+  // Driver hook: refresh and dump a postmortem record right now (malt_run
+  // calls this when the protocol checker reported violations, so the record
   // carries the checker section). No-op without a flight recorder.
   void DumpPostmortem(const char* reason);
 
@@ -237,6 +232,10 @@ class Malt {
   void WireFlightRecorder();
   // The run's clock right now: virtual time under sim, wall under shmem.
   SimTime RunClockNow() const;
+  // Whether the background sampler runs: an interval and a sink are set.
+  // Under sim it is an auxiliary engine process on virtual time; under
+  // shmem a wall-clock thread.
+  bool Sampling() const;
 
   MaltOptions options_;
   TelemetryDomain telemetry_;
@@ -246,7 +245,6 @@ class Malt {
   std::unique_ptr<ShmemTransport> shmem_;   // shmem only
   Transport* transport_ = nullptr;
   std::unique_ptr<DstormDomain> domain_;
-  std::unique_ptr<MetricsStreamer> streamer_;
   std::unique_ptr<HealthMonitor> health_;
   std::unique_ptr<FlightRecorder> flightrec_;
   Graph dataflow_;

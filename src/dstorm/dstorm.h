@@ -310,13 +310,6 @@ class DstormDomain {
   // null falls back to the transport's domain, so standalone stacks share
   // one.
   explicit DstormDomain(Transport& transport, int nodes, TelemetryDomain* telemetry = nullptr);
-  // Legacy signature (pre-Transport): the engine argument is unused — the
-  // transport's clock already is the engine's.
-  DstormDomain(Engine& engine, Transport& transport, int nodes,
-               TelemetryDomain* telemetry = nullptr)
-      : DstormDomain(transport, nodes, telemetry) {
-    (void)engine;
-  }
 
   Dstorm& node(int rank) { return *nodes_[static_cast<size_t>(rank)]; }
   int size() const { return static_cast<int>(nodes_.size()); }

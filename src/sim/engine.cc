@@ -1,7 +1,6 @@
 #include "src/sim/engine.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "src/base/log.h"
 
@@ -172,9 +171,6 @@ void Engine::ApplyEvent(UniqueLock& lock, Event event) {
   if (trace_enabled_) {
     trace_.push_back("E@" + std::to_string(event.when));
   }
-  if (capture_enabled_) {
-    event_times_.push_back(event.when);
-  }
   event.fn();
   ++stats_.events_applied;
   ReevaluateBlocked(event.when);
@@ -185,52 +181,12 @@ void Engine::RunProcessSlice(UniqueLock& lock, Process& p) {
   if (trace_enabled_) {
     trace_.push_back("P" + std::to_string(p.pid_) + "@" + std::to_string(p.clock_));
   }
-  const SimTime slice_begin = p.clock_;
   p.state_ = ProcState::kRunning;
   p.cv_.notify_all();
   scheduler_cv_.wait(lock, [&p] { return p.state_ != ProcState::kRunning; });
   ++stats_.slices_run;
   current_time_ = p.clock_;
-  if (capture_enabled_ && p.clock_ > slice_begin) {
-    slices_.push_back(Slice{p.pid_, slice_begin, p.clock_});
-  }
   ReevaluateBlocked(p.clock_);
-}
-
-Status Engine::WriteChromeTrace(const std::string& path) const {
-  if (!capture_enabled_) {
-    return FailedPreconditionError("EnableScheduleCapture() was not called before Run()");
-  }
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    return InternalError("cannot write '" + path + "'");
-  }
-  // Chrome trace format: JSON array of events; ts/dur are microseconds.
-  std::fputs("[\n", out);
-  bool first = true;
-  for (const Slice& s : slices_) {
-    std::fprintf(out, "%s{\"name\":\"compute\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,"
-                      "\"ts\":%.3f,\"dur\":%.3f}",
-                 first ? "" : ",\n", s.pid, static_cast<double>(s.begin) / 1000.0,
-                 static_cast<double>(s.end - s.begin) / 1000.0);
-    first = false;
-  }
-  for (SimTime t : event_times_) {
-    std::fprintf(out, "%s{\"name\":\"net\",\"ph\":\"i\",\"pid\":0,\"tid\":-1,"
-                      "\"ts\":%.3f,\"s\":\"g\"}",
-                 first ? "" : ",\n", static_cast<double>(t) / 1000.0);
-    first = false;
-  }
-  for (const auto& proc : procs_) {
-    std::fprintf(out,
-                 "%s{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,"
-                 "\"args\":{\"name\":\"%s\"}}",
-                 first ? "" : ",\n", proc->pid_, proc->name_.c_str());
-    first = false;
-  }
-  std::fputs("\n]\n", out);
-  const bool ok = std::fclose(out) == 0;
-  return ok ? OkStatus() : InternalError("write error on '" + path + "'");
 }
 
 void Engine::ReportDeadlock() {

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "src/base/mutex.h"
-#include "src/base/status.h"
 #include "src/base/thread_annotations.h"
 #include "src/base/time_units.h"
 
@@ -153,14 +152,6 @@ class Engine {
   void EnableTrace() { trace_enabled_ = true; }
   const std::vector<std::string>& trace() const { return trace_; }
 
-  // Structured schedule capture for visualization. Enable before Run();
-  // after Run(), WriteChromeTrace() emits a chrome://tracing-compatible JSON
-  // file: one track per process with its compute slices, plus instant events
-  // for applied network events. Virtual nanoseconds map to microseconds in
-  // the trace (the viewer's native unit).
-  void EnableScheduleCapture() { capture_enabled_ = true; }
-  [[nodiscard]] Status WriteChromeTrace(const std::string& path) const;
-
  private:
   friend class Process;
 
@@ -184,14 +175,7 @@ class Engine {
   void KillProcess(Process& p) MALT_REQUIRES(mu_);
   [[noreturn]] void ReportDeadlock();
 
-  // Recursive: event callbacks (run with the lock held) may ScheduleEvent().
-  struct Slice {
-    int pid;
-    SimTime begin;
-    SimTime end;
-  };
-
-  // Recursive (see the Slice comment above): event callbacks run with the
+  // Recursive: event callbacks run with the
   // lock held and may re-enter ScheduleEvent. The clang analysis does not
   // model reentrancy, so ScheduleEvent stays annotation-opaque (no REQUIRES)
   // and its inner acquisition is invisible to callers' lock sets.
@@ -209,9 +193,6 @@ class Engine {
   bool running_ = false;
   bool trace_enabled_ = false;
   std::vector<std::string> trace_;
-  bool capture_enabled_ = false;
-  std::vector<Slice> slices_;
-  std::vector<SimTime> event_times_;
   EngineStats stats_;
 };
 

@@ -1,10 +1,8 @@
 #include "src/telemetry/flightrec.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <csignal>
-#include <fstream>
 #include <utility>
 
 #include "src/base/log.h"
@@ -34,7 +32,7 @@ size_t FormatUnsigned(char* buf, size_t cap, unsigned value) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(std::string path) : path_(std::move(path)) {}
+FlightRecorder::FlightRecorder(TelemetryDomain* sink) : sink_(sink) {}
 
 FlightRecorder::~FlightRecorder() {
   FlightRecorder* self = this;
@@ -50,7 +48,7 @@ void FlightRecorder::AddSection(std::string key, std::function<void(std::string*
   sections_.emplace_back(std::move(key), std::move(render));
 }
 
-std::string FlightRecorder::RenderRecordLocked(const char* reason, SimTime now) {
+std::string FlightRecorder::RenderLocked(const char* reason, SimTime now) {
   std::string rec;
   rec.append("{\"reason\":");
   AppendJsonEscaped(&rec, reason);
@@ -67,20 +65,8 @@ std::string FlightRecorder::RenderRecordLocked(const char* reason, SimTime now) 
     rec.push_back(':');
     render(&rec);
   }
-  rec.append("}}\n");
+  rec.append("}}");
   return rec;
-}
-
-bool FlightRecorder::AppendLocked(const std::string& record) {
-  std::ofstream out(path_, file_started_ ? (std::ios::binary | std::ios::app)
-                                         : (std::ios::binary | std::ios::trunc));
-  if (!out.good()) {
-    return false;
-  }
-  out << record;
-  out.flush();
-  file_started_ = true;
-  return out.good();
 }
 
 bool FlightRecorder::Dump(const char* reason, SimTime now) {
@@ -91,16 +77,15 @@ bool FlightRecorder::Dump(const char* reason, SimTime now) {
     return false;
   }
   dumping = true;
-  bool ok = false;
+  std::string rec;
   {
     MutexLock lock(mu_);
-    ok = AppendLocked(RenderRecordLocked(reason, now));
+    rec = RenderLocked(reason, now);
   }
+  const bool ok = sink_->Emit("postmortem", rec);
   dumping = false;
   if (ok) {
     dumps_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    MALT_LOG_S(kWarning) << "flight recorder: cannot write bundle " << path_;
   }
   return ok;
 }
@@ -109,7 +94,7 @@ void FlightRecorder::RefreshSnapshot(SimTime now) {
   MutexLock lock(mu_);
   Snapshot& snap = snapshots_[next_snapshot_];
   next_snapshot_ = 1 - next_snapshot_;
-  snap.data = RenderRecordLocked("snapshot", now);
+  snap.data = NdjsonRecord("postmortem", RenderLocked("snapshot", now));
   current_snapshot_.store(&snap, std::memory_order_release);
 }
 
@@ -124,14 +109,15 @@ void FlightRecorder::FatalHookTrampoline() {
 }
 
 void FlightRecorder::SignalHandler(int signum) {
-  // Async-signal-safe only: open/write/close/raise plus stack formatting.
+  // Async-signal-safe only: write/raise plus stack formatting. The sink fd
+  // is O_APPEND, so these lines land whole even without the sink mutex.
   FlightRecorder* fr = g_active.load(std::memory_order_acquire);
   if (fr != nullptr) {
-    const int fd = ::open(fr->path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    const int fd = fr->sink_->sink_fd();
     if (fd >= 0) {
-      char header[64];
+      char header[96];
       size_t len = 0;
-      const char prefix[] = "{\"reason\":\"fatal_signal\",\"signal\":";
+      const char prefix[] = "{\"type\":\"postmortem\",\"reason\":\"fatal_signal\",\"signal\":";
       for (const char* p = prefix; *p != '\0'; ++p) {
         header[len++] = *p;
       }
@@ -145,7 +131,6 @@ void FlightRecorder::SignalHandler(int signum) {
         ignored = ::write(fd, snap->data.data(), snap->data.size());
       }
       (void)ignored;
-      (void)::close(fd);
     }
   }
   // SA_RESETHAND restored the default disposition on entry; re-deliver so

@@ -3,17 +3,18 @@
 //
 // A FlightRecorder holds a list of named sections — callbacks that render a
 // JSON value each (effective options, merged metrics, trace-ring tail,
-// health watermarks, checker report, vector clocks; wired by Malt::Run) —
-// and, on Dump(reason), appends ONE NDJSON record to the bundle path:
+// health watermarks, checker report, vector clocks; wired by Malt) — and, on
+// Dump(reason), appends ONE "postmortem" record to the telemetry sink
+// (TelemetryDomain::Emit):
 //
-//   {"reason":"watchdog_kill","ts_ns":...,"sections":{"options":{...},
-//    "metrics":{...},"trace_tail":[...],"watermarks":[...],"checker":{...}}}
+//   {"type":"postmortem","reason":"watchdog_kill","ts_ns":...,"sections":{
+//    "options":{...},"metrics":{...},"trace_tail":[...],"watermarks":[...],
+//    "checker":{...}}}
 //
-// The bundle is NDJSON because a single run can dump more than once (the
-// watchdog dumps at kill delivery, the runtime again at run end, malt_run
-// once more if the checker found violations); the LAST record carries the
-// freshest state. The file is created lazily at the first dump, so a clean
-// run leaves nothing behind.
+// A single run can dump more than once (the watchdog dumps at kill delivery,
+// the runtime again at run end, malt_run once more if the checker found
+// violations); the LAST postmortem record carries the freshest state. A
+// clean run writes none.
 //
 // Trigger matrix (who calls Dump, and when — see Malt::Run / malt_run):
 //   checker violation   malt_run's epilogue, before exit(3)
@@ -23,15 +24,16 @@
 //   fatal signal        the async-signal-safe handler path below
 //
 // Signal path: section callbacks allocate and lock, which a signal handler
-// must never do. Instead, RefreshSnapshot() pre-renders the full bundle
-// record into an off-to-the-side buffer at safe points (run start, every
-// sampler tick, every watchdog poll); the handler installed by
-// InstallSignalHandlers() only open()s the bundle path and write()s a tiny
-// header record plus that pre-serialized snapshot — all async-signal-safe —
-// then re-raises. The snapshot is double-buffered and published through an
-// atomic pointer; a handler that fires exactly during the two-refreshes-
-// later reuse of its buffer can read torn JSON, which is the accepted
-// best-effort trade for never allocating in the handler.
+// must never do. Instead, RefreshSnapshot() pre-renders the full record
+// line (reason "snapshot") into an off-to-the-side buffer at safe points
+// (run start, every sampler tick, every watchdog poll); the handler
+// installed by InstallSignalHandlers() only write()s a tiny
+// {"type":"postmortem","reason":"fatal_signal","signal":N} record plus that
+// pre-serialized snapshot to the sink's fd (no mutex) — all
+// async-signal-safe — then re-raises. The snapshot is double-buffered and
+// published through an atomic pointer; a handler that fires exactly during
+// the two-refreshes-later reuse of its buffer can read torn JSON, which is
+// the accepted best-effort trade for never allocating in the handler.
 
 #ifndef SRC_TELEMETRY_FLIGHTREC_H_
 #define SRC_TELEMETRY_FLIGHTREC_H_
@@ -45,27 +47,27 @@
 
 #include "src/base/mutex.h"
 #include "src/base/time_units.h"
+#include "src/telemetry/telemetry.h"
 
 namespace malt {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(std::string path);
+  // Records go to `sink`'s NDJSON file, which must outlive the recorder.
+  explicit FlightRecorder(TelemetryDomain* sink);
   ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  const std::string& path() const { return path_; }
 
   // Registers a section; `render` must append one valid JSON value. Called
   // during wiring (before the run's threads start); not thread-safe against
   // Dump.
   void AddSection(std::string key, std::function<void(std::string*)> render);
 
-  // Renders every section and appends one bundle record. Thread-safe and
-  // re-entrancy-guarded (a crash inside a section callback cannot recurse).
-  // Returns false if the bundle file cannot be written.
+  // Renders every section and appends one postmortem record. Thread-safe
+  // and re-entrancy-guarded (a crash inside a section callback cannot
+  // recurse). Returns false if the record cannot be written.
   bool Dump(const char* reason, SimTime now);
 
   // Pre-renders the signal-path snapshot record (reason "snapshot"). Call
@@ -91,10 +93,10 @@ class FlightRecorder {
 
   static void FatalHookTrampoline();
   static void SignalHandler(int signum);
-  std::string RenderRecordLocked(const char* reason, SimTime now) MALT_REQUIRES(mu_);
-  bool AppendLocked(const std::string& record) MALT_REQUIRES(mu_);
+  // The record body (without the "type" key) for `reason`.
+  std::string RenderLocked(const char* reason, SimTime now) MALT_REQUIRES(mu_);
 
-  const std::string path_;
+  TelemetryDomain* const sink_;
   std::atomic<int64_t> dumps_{0};
   // Published for the lock-free signal-handler read; the storage behind it
   // is only mutated under mu_ (see the torn-read note above).
@@ -105,7 +107,6 @@ class FlightRecorder {
       MALT_GUARDED_BY(mu_);
   Snapshot snapshots_[2] MALT_GUARDED_BY(mu_);
   int next_snapshot_ MALT_GUARDED_BY(mu_) = 0;
-  bool file_started_ MALT_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace malt

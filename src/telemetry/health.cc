@@ -8,6 +8,42 @@
 
 namespace malt {
 
+void AppendCriticalPathJson(std::string* out, const CriticalPathRecord& rec) {
+  out->append("{\"epoch\":");
+  AppendJsonNumber(out, static_cast<double>(rec.epoch));
+  out->append(",\"ts_ns\":");
+  AppendJsonNumber(out, static_cast<double>(rec.ts_ns));
+  out->append(",\"ranks\":");
+  AppendJsonNumber(out, static_cast<double>(rec.ranks_reporting));
+  out->append(",\"critical_rank\":");
+  AppendJsonNumber(out, static_cast<double>(rec.critical_rank));
+  out->append(",\"wall_ns\":");
+  AppendJsonNumber(out, static_cast<double>(rec.wall_ns));
+  out->append(",\"compute_ns\":");
+  AppendJsonNumber(out, static_cast<double>(rec.compute_ns));
+  out->append(",\"scatter_ns\":");
+  AppendJsonNumber(out, static_cast<double>(rec.scatter_ns));
+  out->append(",\"gather_ns\":");
+  AppendJsonNumber(out, static_cast<double>(rec.gather_ns));
+  out->append(",\"wait_ns\":");
+  AppendJsonNumber(out, static_cast<double>(rec.wait_ns));
+  out->append(",\"waiting_on\":");
+  AppendJsonNumber(out, static_cast<double>(rec.waiting_on));
+  out->append(",\"waiting_on_ns\":");
+  AppendJsonNumber(out, static_cast<double>(rec.waiting_on_ns));
+  out->append(",\"mean_wall_ns\":");
+  AppendJsonNumber(out, rec.mean_wall_ns);
+  out->append(",\"max_z\":");
+  AppendJsonNumber(out, rec.max_z);
+  out->append(",\"most_blamed\":");
+  AppendJsonNumber(out, static_cast<double>(rec.most_blamed));
+  out->append(",\"max_blame_frac\":");
+  AppendJsonNumber(out, rec.max_blame_frac);
+  out->append(",\"straggler\":");
+  AppendJsonNumber(out, static_cast<double>(rec.straggler));
+  out->push_back('}');
+}
+
 HealthMonitor::HealthMonitor(TelemetryDomain* telemetry, int ranks, Options options)
     : telemetry_(telemetry), options_(options), ranks_(ranks) {
   MutexLock lock(mu_);
@@ -26,11 +62,6 @@ HealthMonitor::HealthMonitor(TelemetryDomain* telemetry, int ranks, Options opti
     st.g_epoch->Set(-1);
     st.g_waiting_on->Set(-1);
   }
-}
-
-void HealthMonitor::BindStreamer(MetricsStreamer* streamer) {
-  MutexLock lock(mu_);
-  streamer_ = streamer;
 }
 
 int HealthMonitor::ActiveRanksLocked() const {
@@ -97,6 +128,7 @@ void HealthMonitor::FinalizeEpochLocked(int64_t epoch, PendingEpoch& pending, Si
   }
   CriticalPathRecord rec;
   rec.epoch = epoch;
+  rec.ts_ns = now;
   rec.ranks_reporting = static_cast<int>(reports.size());
 
   double sum = 0;
@@ -198,42 +230,10 @@ void HealthMonitor::FinalizeEpochLocked(int64_t epoch, PendingEpoch& pending, Si
   telemetry_->rank(0).metrics.GetGauge(HealthMetricName("epochs_profiled"))
       ->Set(static_cast<double>(epoch + 1));
 
-  if (streamer_ != nullptr) {
-    std::string line;
-    line.append("{\"type\":\"critical_path\",\"epoch\":");
-    AppendJsonNumber(&line, static_cast<double>(rec.epoch));
-    line.append(",\"ts_ns\":");
-    AppendJsonNumber(&line, static_cast<double>(now));
-    line.append(",\"ranks\":");
-    AppendJsonNumber(&line, static_cast<double>(rec.ranks_reporting));
-    line.append(",\"critical_rank\":");
-    AppendJsonNumber(&line, static_cast<double>(rec.critical_rank));
-    line.append(",\"wall_ns\":");
-    AppendJsonNumber(&line, static_cast<double>(rec.wall_ns));
-    line.append(",\"compute_ns\":");
-    AppendJsonNumber(&line, static_cast<double>(rec.compute_ns));
-    line.append(",\"scatter_ns\":");
-    AppendJsonNumber(&line, static_cast<double>(rec.scatter_ns));
-    line.append(",\"gather_ns\":");
-    AppendJsonNumber(&line, static_cast<double>(rec.gather_ns));
-    line.append(",\"wait_ns\":");
-    AppendJsonNumber(&line, static_cast<double>(rec.wait_ns));
-    line.append(",\"waiting_on\":");
-    AppendJsonNumber(&line, static_cast<double>(rec.waiting_on));
-    line.append(",\"waiting_on_ns\":");
-    AppendJsonNumber(&line, static_cast<double>(rec.waiting_on_ns));
-    line.append(",\"mean_wall_ns\":");
-    AppendJsonNumber(&line, rec.mean_wall_ns);
-    line.append(",\"max_z\":");
-    AppendJsonNumber(&line, rec.max_z);
-    line.append(",\"most_blamed\":");
-    AppendJsonNumber(&line, static_cast<double>(rec.most_blamed));
-    line.append(",\"max_blame_frac\":");
-    AppendJsonNumber(&line, rec.max_blame_frac);
-    line.append(",\"straggler\":");
-    AppendJsonNumber(&line, static_cast<double>(rec.straggler));
-    line.append("}\n");
-    streamer_->AppendLine(line);
+  if (telemetry_->has_sink()) {
+    std::string json;
+    AppendCriticalPathJson(&json, rec);
+    telemetry_->Emit("critical_path", json);
   }
   finalized_.push_back(rec);
 }

@@ -10,8 +10,8 @@
 //   1. Critical path. Once every active rank has closed epoch E, the rank
 //      with the largest wall time is the epoch's critical rank; its phase
 //      split IS the epoch's critical path (everyone else finished under it
-//      and then waited). One NDJSON record per epoch goes into the live
-//      metrics stream:
+//      and then waited). One record per epoch goes into the telemetry sink
+//      (TelemetryDomain::Emit), rendered by AppendCriticalPathJson:
 //
 //        {"type":"critical_path","epoch":E,"ts_ns":...,"ranks":n,
 //         "critical_rank":r,"wall_ns":...,"compute_ns":...,"scatter_ns":...,
@@ -66,7 +66,6 @@
 
 #include "src/base/mutex.h"
 #include "src/base/time_units.h"
-#include "src/telemetry/stream.h"
 #include "src/telemetry/telemetry.h"
 
 namespace malt {
@@ -95,6 +94,7 @@ struct EpochReport {
 // One finalized epoch across the cluster (also embedded in postmortems).
 struct CriticalPathRecord {
   int64_t epoch = -1;
+  SimTime ts_ns = 0;        // when the epoch was finalized
   int ranks_reporting = 0;
   int critical_rank = -1;
   int64_t wall_ns = 0;      // the critical rank's wall time
@@ -112,6 +112,10 @@ struct CriticalPathRecord {
   int straggler = -1;       // flagged rank, -1 if none
 };
 
+// The one renderer of a CriticalPathRecord: the sink's "critical_path"
+// record body and the postmortem's critical_paths section entries.
+void AppendCriticalPathJson(std::string* out, const CriticalPathRecord& rec);
+
 class HealthMonitor {
  public:
   struct Options {
@@ -124,9 +128,6 @@ class HealthMonitor {
 
   HealthMonitor(TelemetryDomain* telemetry, int ranks) : HealthMonitor(telemetry, ranks, Options()) {}
   HealthMonitor(TelemetryDomain* telemetry, int ranks, Options options);
-
-  // Optional: critical-path NDJSON records ride the live metrics stream.
-  void BindStreamer(MetricsStreamer* streamer);
 
   // Called from rank `report.rank`'s own thread when it closes an epoch.
   void OnEpochClose(const EpochReport& report);
@@ -176,7 +177,6 @@ class HealthMonitor {
   const int ranks_;
 
   mutable Mutex mu_;
-  MetricsStreamer* streamer_ MALT_GUARDED_BY(mu_) = nullptr;
   std::vector<RankState> states_ MALT_GUARDED_BY(mu_);
   std::map<int64_t, PendingEpoch> pending_ MALT_GUARDED_BY(mu_);
   std::vector<CriticalPathRecord> finalized_ MALT_GUARDED_BY(mu_);

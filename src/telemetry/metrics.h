@@ -7,7 +7,7 @@
 //     construction) and then bump a relaxed atomic — no map lookup, no lock.
 //   - Every primitive is safe against concurrent bumps: under the shmem
 //     transport a sender's thread updates receiver-side cells while the
-//     background sampler (src/telemetry/stream.h) reads every registry
+//     background sampler (TelemetryDomain::Sample) reads every registry
 //     mid-run. Counters/gauges are relaxed atomics; histograms use atomic
 //     buckets and CAS min/max, so concurrent reads see an approximate but
 //     tear-free snapshot. The registry maps themselves take a mutex because

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "src/base/log.h"
 #include "src/telemetry/metrics.h"
@@ -67,7 +66,9 @@ namespace {
 
 bool IsFlowPhase(char ph) { return ph == 's' || ph == 't' || ph == 'f'; }
 
-void AppendEventJson(std::string* out, const TraceEvent& e, int tid) {
+}  // namespace
+
+void AppendTraceEventJson(std::string* out, const TraceEvent& e, int tid) {
   char buf[64];
   out->append("{\"name\":");
   AppendJsonEscaped(out, e.name);
@@ -105,8 +106,6 @@ void AppendEventJson(std::string* out, const TraceEvent& e, int tid) {
   }
   out->push_back('}');
 }
-
-}  // namespace
 
 void AppendChromeTrace(std::string* out, const std::vector<const TraceRing*>& rings) {
   // Merge the per-rank rings into one global timeline. Each ring is already
@@ -153,24 +152,9 @@ void AppendChromeTrace(std::string* out, const std::vector<const TraceRing*>& ri
       out->append(",\n");
     }
     first = false;
-    AppendEventJson(out, t.event, t.tid);
+    AppendTraceEventJson(out, t.event, t.tid);
   }
   out->append("\n]\n");
-}
-
-Status WriteChromeTrace(const std::string& path, const std::vector<const TraceRing*>& rings) {
-  std::string json;
-  AppendChromeTrace(&json, rings);
-  std::ofstream out(path, std::ios::binary);
-  if (!out.good()) {
-    return UnavailableError("cannot open trace output '" + path + "'");
-  }
-  out << json;
-  out.flush();
-  if (!out.good()) {
-    return UnavailableError("failed writing trace output '" + path + "'");
-  }
-  return OkStatus();
 }
 
 }  // namespace malt

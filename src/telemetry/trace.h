@@ -19,7 +19,7 @@
 // clickable arrow from the scatter span through the apply slice into the
 // gather span.
 //
-// Export: WriteChromeTrace() renders one or more rings (one per rank) as a
+// Export: AppendChromeTrace() renders one or more rings (one per rank) as a
 // Chrome trace_event JSON array — loadable in chrome://tracing and Perfetto —
 // with pid 0 ("malt cluster") and tid = rank, so a whole simulated cluster
 // run is inspectable on one timeline. Virtual nanoseconds are emitted as the
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "src/base/mutex.h"
-#include "src/base/status.h"
 #include "src/base/thread_annotations.h"
 #include "src/base/time_units.h"
 
@@ -133,7 +132,11 @@ class TraceRing {
 // additionally carry {"cat","id"} and bind to their enclosing slice
 // ("bp":"e").
 void AppendChromeTrace(std::string* out, const std::vector<const TraceRing*>& rings);
-[[nodiscard]] Status WriteChromeTrace(const std::string& path, const std::vector<const TraceRing*>& rings);
+
+// Renders one event as a Chrome trace_event object on track `tid` (the
+// per-event renderer AppendChromeTrace uses; the flight recorder's trace
+// tail reuses it).
+void AppendTraceEventJson(std::string* out, const TraceEvent& e, int tid);
 
 }  // namespace malt
 

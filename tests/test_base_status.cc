@@ -60,6 +60,14 @@ TEST(Result, MoveOnlyValue) {
   EXPECT_EQ(*v, 7);
 }
 
+// Reading the value of an error must die with the status text in every build
+// type (an assert would compile away under NDEBUG and leave a bad_variant_access).
+TEST(ResultDeathTest, ValueOnErrorIsFatalWithStatusText) {
+  Result<int> r = InvalidArgumentError("unknown sync mode 'bogus'");
+  EXPECT_DEATH((void)r.value(), "INVALID_ARGUMENT: unknown sync mode 'bogus'");
+  EXPECT_DEATH((void)*r, "Result::value\\(\\) on error");
+}
+
 Status Fails() { return OutOfRangeError("x"); }
 Status Chains() {
   MALT_RETURN_IF_ERROR(Fails());

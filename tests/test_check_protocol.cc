@@ -18,6 +18,7 @@
 #include "src/dstorm/dstorm.h"
 #include "src/sim/engine.h"
 #include "src/simnet/fabric.h"
+#include "src/telemetry/telemetry.h"
 
 namespace malt {
 namespace {
@@ -354,8 +355,8 @@ TEST(CheckReport, JsonCarriesKindsAndSamples) {
   EXPECT_NE(json.find("\"torn_read_escape\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"detail\":\"planted\""), std::string::npos) << json;
 
-  const std::string path = ::testing::TempDir() + "check_report.json";
-  ASSERT_TRUE(checker.WriteReportJson(path).ok());
+  // At run end the report is the telemetry sink's "check" record body.
+  EXPECT_EQ(NdjsonRecord("check", json).rfind("{\"type\":\"check\",\"level\":\"full\",", 0), 0u);
 }
 
 // --- end-to-end: a rogue writer on the real stack -----------------------------
@@ -373,7 +374,7 @@ TEST(CheckIntegration, RogueNoSeqlockWriterCaughtOnRealFabric) {
   fopts.net.bandwidth_bytes_per_sec = 1e9;
   fopts.net.per_message_overhead = 0;
   Fabric fabric(engine, 2, fopts, nullptr, &checker);
-  DstormDomain domain(engine, fabric, 2);
+  DstormDomain domain(fabric, 2);
   int first_gather = -1;
   int second_gather = -1;
 
@@ -440,7 +441,7 @@ TEST(CheckIntegration, TornWriteSimulationIsCleanUnderFullCheck) {
   fopts.net.per_message_overhead = 0;
   fopts.torn_writes = true;
   Fabric fabric(engine, 3, fopts, nullptr, &checker);
-  DstormDomain domain(engine, fabric, 3);
+  DstormDomain domain(fabric, 3);
   constexpr size_t kBytes = 4096;
 
   for (int rank = 0; rank < 3; ++rank) {

@@ -31,7 +31,7 @@ std::span<const std::byte> AsBytes(const void* p, size_t n) {
 // Test harness: runs `body(rank, dstorm, process)` on every node.
 struct DstormCluster {
   explicit DstormCluster(int n, FabricOptions opts = FastNet())
-      : engine(), fabric(engine, n, opts), domain(engine, fabric, n) {}
+      : engine(), fabric(engine, n, opts), domain(fabric, n) {}
 
   void Run(const std::function<void(int, Dstorm&, Process&)>& body) {
     const int n = domain.size();

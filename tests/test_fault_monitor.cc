@@ -27,7 +27,7 @@ std::span<const std::byte> AsBytes(const void* p, size_t n) {
 }
 
 struct Cluster {
-  explicit Cluster(int n) : engine(), fabric(engine, n, FastNet()), domain(engine, fabric, n) {}
+  explicit Cluster(int n) : engine(), fabric(engine, n, FastNet()), domain(fabric, n) {}
 
   void Run(const std::function<void(int, Dstorm&, FaultMonitor&, Process&)>& body) {
     for (int rank = 0; rank < domain.size(); ++rank) {

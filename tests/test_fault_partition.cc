@@ -21,7 +21,7 @@ FabricOptions FastNet() {
 
 struct PartCluster {
   explicit PartCluster(int n)
-      : engine(), fabric(engine, n, FastNet()), domain(engine, fabric, n) {}
+      : engine(), fabric(engine, n, FastNet()), domain(fabric, n) {}
 
   void Partition(const std::vector<int>& side_a, const std::vector<int>& side_b) {
     for (int a : side_a) {

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -182,40 +180,6 @@ TEST(Engine, EventChainSchedulesFromEventContext) {
   engine.Run();
   ASSERT_EQ(fired.size(), 5u);
   EXPECT_EQ(fired.back(), 500);
-}
-
-TEST(Engine, ChromeTraceWritesValidJson) {
-  Engine engine;
-  engine.EnableScheduleCapture();
-  engine.ScheduleEvent(150, [] {});
-  engine.AddProcess("worker-a", [](Process& p) {
-    p.Advance(100);
-    p.Advance(200);
-  });
-  engine.AddProcess("worker-b", [](Process& p) { p.Advance(50); });
-  engine.Run();
-  const std::string path = ::testing::TempDir() + "/trace.json";
-  ASSERT_TRUE(engine.WriteChromeTrace(path).ok());
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content.front(), '[');
-  EXPECT_NE(content.find("\"name\":\"compute\""), std::string::npos);
-  EXPECT_NE(content.find("\"name\":\"net\""), std::string::npos);
-  EXPECT_NE(content.find("worker-a"), std::string::npos);
-  // Balanced braces (cheap well-formedness check).
-  EXPECT_EQ(std::count(content.begin(), content.end(), '{'),
-            std::count(content.begin(), content.end(), '}'));
-}
-
-TEST(Engine, ChromeTraceRequiresCapture) {
-  Engine engine;
-  engine.AddProcess("p", [](Process& p) { p.Advance(1); });
-  engine.Run();
-  EXPECT_EQ(engine.WriteChromeTrace("/tmp/never.json").code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(Engine, YieldDoesNotAdvanceTime) {

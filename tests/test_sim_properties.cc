@@ -112,7 +112,7 @@ TEST(SimProperties, BarrierStormNoDeadlock) {
   Engine engine;
   ProtocolChecker checker(CheckLevel::kCheap, 12);
   Fabric fabric(engine, 12, FastNet(), nullptr, &checker);
-  DstormDomain domain(engine, fabric, 12);
+  DstormDomain domain(fabric, 12);
   int completed = 0;
   for (int rank = 0; rank < 12; ++rank) {
     engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
@@ -138,7 +138,7 @@ TEST(SimProperties, ScatterStormDeliversFreshest) {
   Engine engine;
   ProtocolChecker checker(CheckLevel::kFull, 3);
   Fabric fabric(engine, 3, FastNet(), nullptr, &checker);
-  DstormDomain domain(engine, fabric, 3);
+  DstormDomain domain(fabric, 3);
   bool receiver_ok = true;
 
   for (int rank = 0; rank < 3; ++rank) {
@@ -189,7 +189,7 @@ TEST(SimProperties, LostUpdatesAccountedUnderOverrun) {
   Engine engine;
   ProtocolChecker checker(CheckLevel::kCheap, 2);
   Fabric fabric(engine, 2, FastNet(), nullptr, &checker);
-  DstormDomain domain(engine, fabric, 2);
+  DstormDomain domain(fabric, 2);
   int64_t lost = -1;
   int consumed = 0;
   const int kSent = 100;

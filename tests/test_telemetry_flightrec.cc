@@ -1,52 +1,59 @@
-// Crash flight recorder (src/telemetry/flightrec.h): postmortem bundles for
-// abnormal run endings. Covers the NDJSON record shape, lazy file creation
-// (a clean run leaves nothing), multi-dump appends, the pre-serialized
-// signal snapshot, and the runtime-wired triggers — a forced checker
-// violation and a watchdog/fail-stop kill must each leave a complete bundle
-// on BOTH transports. The shmem cases run real concurrent threads
+// Crash flight recorder (src/telemetry/flightrec.h): "postmortem" records
+// in the telemetry sink for abnormal run endings. Covers the record shape,
+// that nothing is written before a dump (a clean run writes no postmortem),
+// multi-dump appends, the pre-serialized signal snapshot, and the
+// runtime-wired triggers — a forced checker violation and a
+// watchdog/fail-stop kill must each leave a complete postmortem record on
+// BOTH transports. The shmem cases run real concurrent threads
 // (tools/check.sh re-runs this suite under ThreadSanitizer).
 
 #include "src/telemetry/flightrec.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <csignal>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/base/log.h"
 #include "src/core/runtime.h"
 
 namespace malt {
 namespace {
 
-std::string Slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-bool Exists(const std::string& path) { return std::ifstream(path).good(); }
-
-std::vector<std::string> Lines(const std::string& path) {
+// The sink's lines of one record type.
+std::vector<std::string> Records(const std::string& path, const std::string& type) {
   std::ifstream in(path);
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) {
-    if (!line.empty()) {
+    if (line.rfind("{\"type\":\"" + type + "\"", 0) == 0) {
       lines.push_back(line);
     }
   }
   return lines;
 }
 
-TEST(FlightRecorder, LazyFileAndAppendingDumps) {
+std::string Joined(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) {
+    out += line + "\n";
+  }
+  return out;
+}
+
+TelemetryOptions SinkAt(const std::string& path) {
+  TelemetryOptions topt;
+  topt.out_path = path;
+  return topt;
+}
+
+TEST(FlightRecorder, NothingBeforeDumpThenAppendingDumps) {
   const std::string path = testing::TempDir() + "fr_unit.ndjson";
-  std::remove(path.c_str());
   {
-    FlightRecorder fr(path);
+    TelemetryDomain sink(1, SinkAt(path));
+    FlightRecorder fr(&sink);
     int renders = 0;
     fr.AddSection("probe", [&renders](std::string* out) {
       ++renders;
@@ -54,14 +61,14 @@ TEST(FlightRecorder, LazyFileAndAppendingDumps) {
       out->append(std::to_string(renders));
       out->push_back('}');
     });
-    EXPECT_FALSE(Exists(path)) << "no dump yet: the bundle must not exist";
+    EXPECT_EQ(sink.records(), 0) << "no dump yet: nothing may be written";
     EXPECT_TRUE(fr.Dump("first", 100));
     EXPECT_TRUE(fr.Dump("second", 200));
     EXPECT_EQ(fr.dumps(), 2);
   }
-  const std::vector<std::string> lines = Lines(path);
+  const std::vector<std::string> lines = Records(path, "postmortem");
   ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"reason\":\"first\""), std::string::npos);
+  EXPECT_NE(lines[0].find("\"type\":\"postmortem\",\"reason\":\"first\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"ts_ns\":100"), std::string::npos);
   EXPECT_NE(lines[0].find("\"probe\":{\"calls\":1}"), std::string::npos);
   EXPECT_NE(lines[1].find("\"reason\":\"second\""), std::string::npos);
@@ -73,40 +80,49 @@ TEST(FlightRecorder, LazyFileAndAppendingDumps) {
 
 TEST(FlightRecorder, SnapshotIsPreSerializedForTheSignalPath) {
   const std::string path = testing::TempDir() + "fr_snap.ndjson";
-  std::remove(path.c_str());
-  FlightRecorder fr(path);
+  TelemetryDomain sink(1, SinkAt(path));
+  FlightRecorder fr(&sink);
   fr.AddSection("state", [](std::string* out) { out->append("\"ok\""); });
   fr.RefreshSnapshot(42);
   // Dump still renders live (snapshot is only for the handler), and the
-  // snapshot machinery must not have started the file.
-  EXPECT_FALSE(Exists(path));
+  // snapshot machinery must not have written to the sink.
+  EXPECT_EQ(sink.records(), 0);
   EXPECT_TRUE(fr.Dump("check", 43));
-  EXPECT_NE(Slurp(path).find("\"state\":\"ok\""), std::string::npos);
+  EXPECT_NE(Joined(Records(path, "postmortem")).find("\"state\":\"ok\""), std::string::npos);
 }
 
-// A forced protocol violation must produce a complete bundle via the same
-// driver path malt_run uses (DumpPostmortem before exit 3).
+// A protocol violation must leave both the run-end "check" record and a
+// complete postmortem record in the one sink, via the same driver path
+// malt_run uses (DumpPostmortem before exit 3). malt_run cannot plant a
+// violation, so this test plants one mid-run.
 void RunCheckerViolationBundle(TransportKind transport) {
   const std::string path = testing::TempDir() + "fr_check_" +
                            (transport == TransportKind::kSim ? "sim" : "shmem") + ".ndjson";
-  std::remove(path.c_str());
   MaltOptions options;
   options.transport = transport;
   options.ranks = 2;
   options.check = CheckLevel::kCheap;
-  options.telemetry.postmortem_path = path;
+  options.telemetry.out_path = path;
   Malt malt(options);
-  malt.Run([](Worker& w) {
+  malt.Run([&malt](Worker& w) {
     MaltVector v = w.CreateVector("model", 16);
     w.BeginEpoch(0);
     ASSERT_TRUE(v.Scatter().ok());
     ASSERT_TRUE(w.Barrier().ok());
+    if (w.rank() == 0) {
+      malt.checker().ReportViolation("test-forced", 0, 7, "planted violation");
+    }
   });
-  EXPECT_FALSE(Exists(path)) << "clean run must not dump";
-  malt.checker().ReportViolation("test-forced", 0, 7, "planted violation");
+  EXPECT_TRUE(Records(path, "postmortem").empty())
+      << "the runtime must not dump for a violation; the driver does";
+  const std::vector<std::string> checks = Records(path, "check");
+  ASSERT_EQ(checks.size(), 1u);
+  EXPECT_NE(checks[0].find("\"violations\":1"), std::string::npos) << checks[0];
+  EXPECT_NE(checks[0].find("test-forced"), std::string::npos) << checks[0];
   malt.DumpPostmortem("checker_violation");
-  ASSERT_TRUE(Exists(path));
-  const std::string bundle = Slurp(path);
+  const std::vector<std::string> dumps = Records(path, "postmortem");
+  ASSERT_EQ(dumps.size(), 1u);
+  const std::string& bundle = dumps[0];
   EXPECT_NE(bundle.find("\"reason\":\"checker_violation\""), std::string::npos);
   for (const char* section :
        {"\"options\":", "\"metrics\":", "\"watermarks\":", "\"critical_paths\":",
@@ -131,11 +147,10 @@ TEST(FlightRecorderEndToEnd, CheckerViolationBundleUnderShmem) {
 void RunKillBundle(TransportKind transport) {
   const std::string path = testing::TempDir() + "fr_kill_" +
                            (transport == TransportKind::kSim ? "sim" : "shmem") + ".ndjson";
-  std::remove(path.c_str());
   MaltOptions options;
   options.transport = transport;
   options.ranks = 4;
-  options.telemetry.postmortem_path = path;
+  options.telemetry.out_path = path;
   Malt malt(options);
   malt.ScheduleKill(1, 0.02);
   malt.Run([&](Worker& w) {
@@ -148,8 +163,9 @@ void RunKillBundle(TransportKind transport) {
     }
   });
   EXPECT_EQ(malt.survivors(), 3);
-  ASSERT_TRUE(Exists(path));
-  const std::string bundle = Slurp(path);
+  const std::vector<std::string> dumps = Records(path, "postmortem");
+  ASSERT_FALSE(dumps.empty());
+  const std::string bundle = Joined(dumps);
   EXPECT_NE(bundle.find("\"reason\":\"rank_death\""), std::string::npos);
   if (transport == TransportKind::kShmem) {
     EXPECT_NE(bundle.find("\"reason\":\"watchdog_kill\""), std::string::npos);
@@ -157,11 +173,9 @@ void RunKillBundle(TransportKind transport) {
   for (const char* section : {"\"options\":", "\"metrics\":", "\"watermarks\":", "\"vclocks\":"}) {
     EXPECT_NE(bundle.find(section), std::string::npos) << section;
   }
-  // The last record's watermarks must mark rank 1 dead.
-  const std::vector<std::string> lines = Lines(path);
-  ASSERT_FALSE(lines.empty());
-  EXPECT_NE(lines.back().find("\"rank\":1,"), std::string::npos);
-  EXPECT_NE(lines.back().find("\"dead\":1"), std::string::npos);
+  // The last postmortem's watermarks must mark rank 1 dead.
+  EXPECT_NE(dumps.back().find("\"rank\":1,"), std::string::npos);
+  EXPECT_NE(dumps.back().find("\"dead\":1"), std::string::npos);
 }
 
 TEST(FlightRecorderEndToEnd, KillLeavesBundleUnderSim) { RunKillBundle(TransportKind::kSim); }

@@ -21,7 +21,7 @@ FabricOptions FastNet() {
 }
 
 struct VolCluster {
-  explicit VolCluster(int n) : engine(), fabric(engine, n, FastNet()), domain(engine, fabric, n) {}
+  explicit VolCluster(int n) : engine(), fabric(engine, n, FastNet()), domain(fabric, n) {}
 
   void Run(const std::function<void(int, Dstorm&, Process&)>& body) {
     for (int rank = 0; rank < domain.size(); ++rank) {

@@ -27,14 +27,15 @@
 #                      one with malt_mc --harness=<h> --mc_replay=<file>.
 #   5. malt_run --check=full — the SVM example under the happens-before
 #                      validator, on both transports; any violation fails
-#                      the gate.
-#   6. trace_report.py smoke — flow-traced runs with the NDJSON sampler on
-#                      both transports, rendered by tools/trace_report.py.
-#   6b. health_report.py smoke — planted-straggler runs (one rank slowed via
-#                      --slow_rank) with --postmortem_out on both transports;
-#                      the straggler warning, the critical-path records, and
-#                      tools/health_report.py's tables must all name the
-#                      planted rank.
+#                      the gate (the "check" record lands in the
+#                      --telemetry_out file).
+#   6. malt_report.py smoke — planted-straggler runs (one rank slowed via
+#                      --slow_rank) with flow tracing, the NDJSON sampler and
+#                      --telemetry_out on both transports, rendered by
+#                      tools/malt_report.py: the straggler warning, the
+#                      critical-path records and the report's flow, per-edge,
+#                      critical-path and straggler tables must all appear and
+#                      name the planted rank.
 #   7. TSan build + ctest -L shmem — the shared-memory transport suite
 #                      (real concurrent rank threads) under ThreadSanitizer,
 #                      plus an 8-rank malt_run with the 50ms metrics sampler
@@ -142,67 +143,45 @@ fi
 # --- 5. protocol check on the SVM example (both transports) ------------------
 note "malt_run --check=full (SVM, sim)"
 if "$BUILD_DIR/tools/malt_run" --app=svm --epochs=3 --check=full \
-     --check_out=/tmp/malt_check_report.json; then
-  echo "protocol check OK (report: /tmp/malt_check_report.json)"
+     --telemetry_out=/tmp/malt_check_report.ndjson; then
+  echo "protocol check OK (report: the check record in /tmp/malt_check_report.ndjson)"
 else
-  cat /tmp/malt_check_report.json 2>/dev/null
+  grep -E '"type":"(check|postmortem)"' /tmp/malt_check_report.ndjson 2>/dev/null
   fail "malt_run --check=full reported violations"
 fi
 note "malt_run --check=full (SVM, shmem)"
 if "$BUILD_DIR/tools/malt_run" --app=svm --epochs=3 --check=full --transport=shmem \
-     --check_out=/tmp/malt_check_report_shmem.json; then
-  echo "protocol check OK (report: /tmp/malt_check_report_shmem.json)"
+     --telemetry_out=/tmp/malt_check_report_shmem.ndjson; then
+  echo "protocol check OK (report: the check record in /tmp/malt_check_report_shmem.ndjson)"
 else
-  cat /tmp/malt_check_report_shmem.json 2>/dev/null
+  grep -E '"type":"(check|postmortem)"' /tmp/malt_check_report_shmem.ndjson 2>/dev/null
   fail "malt_run --check=full --transport=shmem reported violations"
 fi
 
-# --- 6. trace_report smoke on both transports --------------------------------
-note "trace_report.py smoke (sim + shmem)"
-trace_report_smoke() {
+# --- 6. malt_report smoke: planted straggler, flows, sampler (both) ---------
+note "malt_report.py smoke (planted straggler, sim + shmem)"
+report_smoke() {
   local transport="$1"
   local prefix="/tmp/malt_check_report_${transport}"
-  "$BUILD_DIR/tools/malt_run" --app=svm --ranks=4 --epochs=2 --transport="$transport" \
-      --trace_out="${prefix}_trace.json" --metrics_out="${prefix}_metrics.json" \
-      --metrics_interval_ms=20 --metrics_stream="${prefix}_stream.ndjson" \
-      > /dev/null \
-    && python3 "$REPO/tools/trace_report.py" --trace "${prefix}_trace.json" \
-         --metrics "${prefix}_metrics.json" --stream "${prefix}_stream.ndjson" \
-         > "${prefix}_report.txt" \
-    && grep -q 'flow summary' "${prefix}_report.txt" \
-    && grep -q 'per-edge communication' "${prefix}_report.txt"
-}
-for transport in sim shmem; do
-  if trace_report_smoke "$transport"; then
-    echo "trace_report.py OK ($transport; /tmp/malt_check_report_${transport}_report.txt)"
-  else
-    fail "trace_report.py smoke ($transport)"
-  fi
-done
-
-# --- 6b. health_report smoke: planted straggler + postmortem (both) ----------
-note "health_report.py smoke (planted straggler, sim + shmem)"
-health_report_smoke() {
-  local transport="$1"
-  local prefix="/tmp/malt_check_health_${transport}"
   "$BUILD_DIR/tools/malt_run" --app=svm --ranks=4 --epochs=4 --transport="$transport" \
       --slow_rank=2 --slow_factor=8 \
-      --metrics_out="${prefix}_metrics.json" \
-      --metrics_interval_ms=20 --metrics_stream="${prefix}_stream.ndjson" \
-      --postmortem_out="${prefix}_postmortem.ndjson" \
+      --trace_out="${prefix}_trace.json" --telemetry_out="${prefix}.ndjson" \
+      --metrics_interval_ms=20 \
       > "${prefix}_stdout.txt" \
     && grep -q 'warning: rank 2 straggled' "${prefix}_stdout.txt" \
-    && grep -q '"type":"critical_path"' "${prefix}_stream.ndjson" \
-    && python3 "$REPO/tools/health_report.py" --stream "${prefix}_stream.ndjson" \
-         --metrics "${prefix}_metrics.json" > "${prefix}_report.txt" \
+    && grep -q '"type":"critical_path"' "${prefix}.ndjson" \
+    && python3 "$REPO/tools/malt_report.py" "${prefix}.ndjson" --trace "${prefix}_trace.json" \
+         > "${prefix}_report.txt" \
+    && grep -q 'flow summary' "${prefix}_report.txt" \
+    && grep -q 'per-edge communication' "${prefix}_report.txt" \
     && grep -q 'per-epoch critical path' "${prefix}_report.txt" \
     && grep -qE '^2 .*STRAGGLER' "${prefix}_report.txt"
 }
 for transport in sim shmem; do
-  if health_report_smoke "$transport"; then
-    echo "health_report.py OK ($transport; /tmp/malt_check_health_${transport}_report.txt)"
+  if report_smoke "$transport"; then
+    echo "malt_report.py OK ($transport; /tmp/malt_check_report_${transport}_report.txt)"
   else
-    fail "health_report.py smoke ($transport)"
+    fail "malt_report.py smoke ($transport)"
   fi
 done
 
@@ -232,9 +211,9 @@ else
     note "malt_run 8-rank shmem + 50ms sampler (ThreadSanitizer)"
     if TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD_DIR/tools/malt_run" \
          --app=svm --ranks=8 --epochs=3 --transport=shmem \
-         --metrics_interval_ms=50 --metrics_stream=/tmp/malt_check_stream.ndjson \
+         --metrics_interval_ms=50 --telemetry_out=/tmp/malt_check_tsan.ndjson \
          --trace_out=/tmp/malt_check_trace_shmem.json; then
-      echo "TSan sampler run OK (stream: /tmp/malt_check_stream.ndjson)"
+      echo "TSan sampler run OK (telemetry: /tmp/malt_check_tsan.ndjson)"
     else
       fail "malt_run shmem sampler run under TSan"
     fi

@@ -11,6 +11,8 @@
 //   malt_run --app=svm --train=mydata.svm --ranks=4 --average=model
 //   malt_run --app=mf  --ranks=2 --sync=asp --epochs=12
 //   malt_run --app=nn  --ranks=8 --cb=500 --csv=curve.csv
+//   malt_run --app=svm --ranks=8 --telemetry_out=run.ndjson --metrics_interval_ms=50
+//     (then: python3 tools/malt_report.py run.ndjson)
 
 #include <cstdio>
 #include <fstream>
@@ -61,36 +63,19 @@ void EmitCsv(const std::string& path, const malt::Series& series, const char* x_
   std::printf("wrote %zu curve points to %s\n", series.size(), path.c_str());
 }
 
-// Post-run telemetry exports: per-rank + aggregate metrics JSON, and the
-// cluster trace in Chrome trace_event format (load in chrome://tracing or
-// https://ui.perfetto.dev).
-void EmitTelemetry(malt::Malt& malt, const std::string& metrics_out,
-                   const std::string& trace_out) {
+// Post-run Chrome trace export (load in chrome://tracing or
+// https://ui.perfetto.dev) and the trace-loss warning.
+void EmitTrace(malt::Malt& malt, const std::string& trace_out) {
   const int64_t dropped = malt.telemetry().TraceDropped();
   if (dropped > 0) {
     std::printf("warning: %lld trace events dropped (ring wrapped; raise --trace_capacity)\n",
                 static_cast<long long>(dropped));
-  }
-  if (!metrics_out.empty()) {
-    const malt::Status status = malt.telemetry().WriteMetricsJson(metrics_out);
-    MALT_CHECK(status.ok()) << status.ToString();
-    std::printf("wrote metrics report to %s\n", metrics_out.c_str());
   }
   if (!trace_out.empty()) {
     const malt::Status status = malt.telemetry().WriteChromeTrace(trace_out);
     MALT_CHECK(status.ok()) << status.ToString();
     std::printf("wrote Chrome trace to %s%s\n", trace_out.c_str(),
                 dropped > 0 ? " (ring wrapped; oldest events dropped)" : "");
-  }
-  if (malt::MetricsStreamer* streamer = malt.metrics_streamer()) {
-    const malt::Status status = streamer->status();
-    if (!status.ok()) {
-      std::printf("warning: metrics stream %s: %s\n", streamer->path().c_str(),
-                  status.ToString().c_str());
-    } else {
-      std::printf("streamed %lld metric samples to %s\n",
-                  static_cast<long long>(streamer->samples()), streamer->path().c_str());
-    }
   }
 }
 
@@ -106,7 +91,7 @@ void EmitHealth(malt::Malt& malt) {
     const int64_t flagged = health.straggler_epochs(rank);
     if (flagged > 0) {
       std::printf("warning: rank %d straggled in %lld/%lld profiled epochs "
-                  "(see health.rank.%d.* gauges and tools/health_report.py)\n",
+                  "(see health.rank.%d.* gauges and tools/malt_report.py)\n",
                   rank, static_cast<long long>(flagged), static_cast<long long>(epochs), rank);
     }
     if (!malt.rank_survived(rank)) {
@@ -117,7 +102,7 @@ void EmitHealth(malt::Malt& malt) {
 
 // Post-run protocol-checker report (see src/check/check.h). Returns the
 // number of violations so main() can turn them into a nonzero exit.
-int64_t EmitCheck(malt::Malt& malt, const std::string& check_out) {
+int64_t EmitCheck(malt::Malt& malt) {
   const malt::ProtocolChecker& checker = malt.checker();
   if (!checker.enabled()) {
     return 0;
@@ -130,32 +115,29 @@ int64_t EmitCheck(malt::Malt& malt, const std::string& check_out) {
     std::printf("check:   [%s] rank %d at t=%lldns: %s\n", v.kind, v.rank,
                 static_cast<long long>(v.time), v.detail.c_str());
   }
-  if (!check_out.empty()) {
-    const malt::Status status = checker.WriteReportJson(check_out);
-    MALT_CHECK(status.ok()) << status.ToString();
-    std::printf("wrote check report to %s\n", check_out.c_str());
-  }
   return checker.violation_count();
 }
 
-// Shared exit path for every app branch: telemetry is flushed (drop warning,
-// metrics, trace, stream summary, health warnings) BEFORE the checker report
-// can turn into a nonzero exit — a run that fails the protocol check still
-// leaves its observability artifacts behind, plus a postmortem bundle when
-// --postmortem_out is set.
-int Epilogue(malt::Malt& malt, const std::string& metrics_out, const std::string& trace_out,
-             const std::string& check_out) {
-  EmitTelemetry(malt, metrics_out, trace_out);
+// Shared exit path for every app branch: the trace, health warnings and
+// checker summary are emitted BEFORE the checker report can turn into a
+// nonzero exit — a run that fails the protocol check still leaves its
+// observability artifacts behind, plus a postmortem record in the
+// --telemetry_out file.
+int Epilogue(malt::Malt& malt, const std::string& trace_out) {
+  EmitTrace(malt, trace_out);
   EmitHealth(malt);
-  if (EmitCheck(malt, check_out) > 0) {
+  const bool violated = EmitCheck(malt) > 0;
+  if (violated) {
     malt.DumpPostmortem("checker_violation");
-    if (malt.flight_recorder() != nullptr) {
-      std::printf("wrote postmortem bundle to %s\n",
-                  malt.options().telemetry.postmortem_path.c_str());
-    }
-    return 3;
   }
-  return 0;
+  const malt::TelemetryDomain& telemetry = malt.telemetry();
+  if (telemetry.has_sink()) {
+    std::printf("wrote %lld telemetry records (%lld samples) to %s\n",
+                static_cast<long long>(telemetry.records()),
+                static_cast<long long>(telemetry.samples()),
+                telemetry.options().out_path.c_str());
+  }
+  return violated ? 3 : 0;
 }
 
 }  // namespace
@@ -187,8 +169,6 @@ int main(int argc, char** argv) {
   const std::string train_file = flags.GetString("train", "", "LIBSVM train file (svm)");
   const std::string test_file = flags.GetString("test", "", "LIBSVM test file (svm)");
   const std::string csv = flags.GetString("csv", "", "write the metric curve to this CSV");
-  const std::string metrics_out =
-      flags.GetString("metrics_out", "", "write the runtime metrics report (JSON) here");
   const std::string trace_out =
       flags.GetString("trace_out", "", "write a Chrome trace_event JSON here");
   const int trace_capacity = static_cast<int>(
@@ -196,11 +176,10 @@ int main(int argc, char** argv) {
   const int flow_events = static_cast<int>(
       flags.GetInt("flow_events", 1, "tag one-sided writes with flow trace context (0 to disable)"));
   const int metrics_interval_ms = static_cast<int>(flags.GetInt(
-      "metrics_interval_ms", 0, "sample metrics every N ms mid-run (0 = off)"));
-  const std::string metrics_stream = flags.GetString(
-      "metrics_stream", "", "append NDJSON metric samples here (with --metrics_interval_ms)");
-  const std::string postmortem_out = flags.GetString(
-      "postmortem_out", "", "dump crash/violation postmortem bundles (NDJSON) here");
+      "metrics_interval_ms", 0, "add a metrics sample record every N ms mid-run (0 = off)"));
+  const std::string telemetry_out = flags.GetString(
+      "telemetry_out", "",
+      "write typed NDJSON telemetry here (metrics, check, critical paths, samples, postmortems)");
   const int slow_rank = static_cast<int>(flags.GetInt(
       "slow_rank", -1, "svm: make this rank a persistent straggler"));
   const double slow_factor = flags.GetDouble(
@@ -209,19 +188,16 @@ int main(int argc, char** argv) {
   const int kill_rank = static_cast<int>(flags.GetInt("kill_rank", -1, "which rank to kill"));
   const std::string check_level =
       flags.GetString("check", "off", "protocol checker level: off|cheap|full");
-  const std::string check_out =
-      flags.GetString("check_out", "", "write the checker's violations report (JSON) here");
   flags.Finish();
   options.telemetry.trace_capacity = static_cast<size_t>(trace_capacity);
   options.telemetry.flow_events = flow_events != 0;
   options.telemetry.metrics_interval_ms = metrics_interval_ms;
-  options.telemetry.metrics_stream_path = metrics_stream;
-  options.telemetry.postmortem_path = postmortem_out;
+  options.telemetry.out_path = telemetry_out;
   // The driver owns the process, so it may install crash handlers; library
   // users must opt in explicitly.
-  options.telemetry.postmortem_signals = !postmortem_out.empty();
-  MALT_CHECK(metrics_interval_ms <= 0 || !metrics_stream.empty())
-      << "--metrics_interval_ms needs --metrics_stream=FILE";
+  options.telemetry.postmortem_signals = !telemetry_out.empty();
+  MALT_CHECK(metrics_interval_ms <= 0 || !telemetry_out.empty())
+      << "--metrics_interval_ms needs --telemetry_out=FILE";
   const malt::Result<malt::CheckLevel> parsed_check = malt::ParseCheckLevel(check_level);
   MALT_CHECK(parsed_check.ok()) << parsed_check.status().ToString();
   options.check = *parsed_check;
@@ -260,7 +236,7 @@ int main(int argc, char** argv) {
     if (!csv.empty()) {
       EmitCsv(csv, r.loss_vs_time, "virtual_seconds", "test_hinge_loss");
     }
-    return Epilogue(malt, metrics_out, trace_out, check_out);
+    return Epilogue(malt, trace_out);
   }
 
   if (app == "mf") {
@@ -279,7 +255,7 @@ int main(int argc, char** argv) {
     if (!csv.empty()) {
       EmitCsv(csv, r.rmse_vs_time, "virtual_seconds", "test_rmse");
     }
-    return Epilogue(malt, metrics_out, trace_out, check_out);
+    return Epilogue(malt, trace_out);
   }
 
   if (app == "nn") {
@@ -301,7 +277,7 @@ int main(int argc, char** argv) {
     if (!csv.empty()) {
       EmitCsv(csv, r.auc_vs_time, "virtual_seconds", "test_auc");
     }
-    return Epilogue(malt, metrics_out, trace_out, check_out);
+    return Epilogue(malt, trace_out);
   }
 
   MALT_CHECK(false) << "unknown --app '" << app << "' (svm|mf|nn)";
