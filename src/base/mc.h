@@ -60,9 +60,10 @@ enum class McMutation : uint8_t {
 
 #if defined(MALT_MODELCHECK)
 
-// Interface the model-check scheduler implements. One instance drives all
-// threads of one harness execution; each participating thread registers it
-// in a thread_local slot (SetCurrent) for the duration of the harness body.
+// Interface the model-check scheduler implements. Each harness thread has its
+// own instance, installed in a thread_local slot (SetCurrent) while that
+// harness thread runs. Harness threads are fibers sharing one OS thread, so
+// the scheduler re-installs the slot each time it resumes one.
 class SchedulerClient {
  public:
   virtual ~SchedulerClient() = default;

@@ -17,8 +17,8 @@
 //     returns the mutex, e.g. MALT_REQUIRES(StripeFor(node, rkey, queue));
 //     the call-site arguments must match the lock-site expression textually.
 //   - Escapes:    annotate deliberate holes MALT_NO_THREAD_SAFETY_ANALYSIS
-//                 with a comment saying why (post-run accessors, baton
-//                 handoff protocols the analysis cannot express).
+//                 with a comment saying why (e.g. post-run accessors the
+//                 analysis cannot tell from concurrent ones).
 
 #ifndef SRC_BASE_THREAD_ANNOTATIONS_H_
 #define SRC_BASE_THREAD_ANNOTATIONS_H_

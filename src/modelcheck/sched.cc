@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <semaphore>
-#include <thread>
+#include <memory>
 #include <utility>
 
+#include "src/base/fiber.h"
 #include "src/base/log.h"
-#include "src/base/mutex.h"
 
 namespace malt {
 namespace modelcheck {
@@ -17,7 +16,7 @@ namespace {
 // Thrown through a parked thread to unwind it when the execution is
 // abandoned (failure, deadlock, divergence). Harness bodies and the
 // primitives under test never catch(...) mid-protocol, so the unwind is
-// clean; the thread wrapper catches it.
+// clean; the thread's fiber catches it at the bottom of its stack.
 struct AbortExecution {};
 
 constexpr size_t kMaxStoreBytes = mc::kMaxPlainBytes;
@@ -33,13 +32,10 @@ struct ThreadState {
   explicit ThreadState(int tid_arg) : tid(tid_arg) {}
 
   const int tid;
-  std::binary_semaphore go{0};
-  std::binary_semaphore ready{0};
-  std::thread th;
+  std::unique_ptr<Fiber> fiber;  // the harness thread, on the scheduler's OS thread
 
-  // Handshake-serialized state: written by the owning thread while it runs,
-  // read by the scheduler while the thread is parked (the semaphore pair
-  // orders every access).
+  // Written by the harness thread while it runs, read by the scheduler while
+  // it is parked (only one of them runs at a time).
   OpClass next_cls = OpClass::kInvisible;  // class of the step run next
   bool blocked = false;                    // parked in SpinYield
   uint64_t blocked_epoch = 0;
@@ -53,28 +49,21 @@ struct Exec {
   std::deque<ThreadState> threads;
   uint64_t commit_epoch = 0;
 
-  Mutex fail_mu;
-  bool abort = false;  // set once under fail_mu before waking parked threads
+  bool abort = false;  // set before resuming parked threads to unwind them
   bool failed = false;
   std::string failure;
 
   void RecordFailure(const std::string& message) {
-    MutexLock lock(fail_mu);
     if (!failed) {
       failed = true;
       failure = message;
     }
     abort = true;
   }
-
-  bool Aborted() {
-    MutexLock lock(fail_mu);
-    return abort;
-  }
 };
 
-// Per-thread shim endpoint. Lives on the harness thread's stack for the
-// duration of its body; all methods run on that thread.
+// Per-thread shim endpoint. Lives on the harness thread's fiber stack for the
+// duration of its body; all methods run on that fiber.
 class Client : public mc::SchedulerClient {
  public:
   Client(Exec* exec, ThreadState* st) : exec_(exec), st_(st) {}
@@ -166,12 +155,16 @@ class Client : public mc::SchedulerClient {
   }
 
  private:
+  // Hands control back to the scheduler. mc::Current() names the running
+  // harness thread, so it is cleared while the scheduler runs and set again
+  // when this thread is resumed.
   void Park(OpClass next_cls) {
     st_->next_cls = next_cls;
-    st_->ready.release();
-    st_->go.acquire();
+    mc::SetCurrent(nullptr);
+    st_->fiber->Suspend();
+    mc::SetCurrent(this);
     st_->blocked = false;
-    if (exec_->Aborted()) {
+    if (exec_->abort) {
       throw AbortExecution{};
     }
   }
@@ -180,9 +173,10 @@ class Client : public mc::SchedulerClient {
   ThreadState* st_;
 };
 
+// Body of a harness thread's fiber; its first Resume() is the start step,
+// scheduled like any other.
 void ThreadMain(Exec* exec, ThreadState* st, const std::function<void()>& body) {
-  st->go.acquire();  // the start step is scheduled like any other
-  if (!exec->Aborted()) {
+  if (!exec->abort) {
     Client client(exec, st);
     mc::SetCurrent(&client);
     try {
@@ -197,7 +191,6 @@ void ThreadMain(Exec* exec, ThreadState* st, const std::function<void()>& body) 
     mc::SetCurrent(nullptr);
   }
   st->done = true;
-  st->ready.release();
 }
 
 // Appends every currently schedulable action, in deterministic order:
@@ -254,7 +247,15 @@ void CommitOldest(Exec* exec, int tid, int var_ix) {
                     << var_ix << ")";
 }
 
+// The execution whose harness thread is running on this OS thread, if any.
 thread_local Exec* g_thread_exec = nullptr;
+
+// Runs harness thread `st` until it parks again or finishes.
+void RunThread(Exec* exec, ThreadState* st) {
+  g_thread_exec = exec;
+  st->fiber->Resume();
+  g_thread_exec = nullptr;
+}
 
 }  // namespace
 
@@ -276,23 +277,16 @@ SchedResult Scheduler::Run(const std::vector<std::function<void()>>& threads,
   for (size_t i = 0; i < threads.size(); ++i) {
     ThreadState* st = &exec.threads[i];
     const std::function<void()>* body = &threads[i];
-    st->th = std::thread([&exec, st, body] {
-      g_thread_exec = &exec;
-      ThreadMain(&exec, st, *body);
-      g_thread_exec = nullptr;
-    });
+    st->fiber = std::make_unique<Fiber>([&exec, st, body] { ThreadMain(&exec, st, *body); });
   }
 
   SchedResult result;
   std::vector<EnabledInfo> enabled;
   for (;;) {
-    {
-      MutexLock lock(exec.fail_mu);
-      if (exec.failed) {
-        result.status = SchedResult::Status::kFailed;
-        result.failure = exec.failure;
-        break;
-      }
+    if (exec.failed) {
+      result.status = SchedResult::Status::kFailed;
+      result.failure = exec.failure;
+      break;
     }
     if (result.steps >= options_.max_steps) {
       result.status = SchedResult::Status::kDivergent;
@@ -321,26 +315,19 @@ SchedResult Scheduler::Run(const std::vector<std::function<void()>>& threads,
     result.trace.push_back(act);
     result.steps++;
     if (act.kind == SchedAction::Kind::kRunThread) {
-      ThreadState& st = exec.threads[static_cast<size_t>(act.tid)];
-      st.go.release();
-      st.ready.acquire();
+      RunThread(&exec, &exec.threads[static_cast<size_t>(act.tid)]);
     } else {
       CommitOldest(&exec, act.tid, act.var_ix);
     }
   }
 
-  // Wind down: wake every parked thread into the abort path and join.
-  {
-    MutexLock lock(exec.fail_mu);
-    exec.abort = true;
-  }
+  // Wind down: resume every unfinished thread into the abort path, which
+  // unwinds a parked thread and skips the body of one that never started.
+  exec.abort = true;
   for (ThreadState& st : exec.threads) {
     if (!st.done) {
-      st.go.release();
+      RunThread(&exec, &st);
     }
-  }
-  for (ThreadState& st : exec.threads) {
-    st.th.join();
   }
   return result;
 }

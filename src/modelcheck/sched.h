@@ -1,8 +1,9 @@
 // Deterministic serializing scheduler for the model checker (DESIGN.md §11).
 //
-// A Scheduler runs one harness execution: it spawns the harness's N threads
-// as real OS threads but lets exactly ONE run at a time, switching only at
-// sync points (every mc:: shim operation, src/base/mc.h). Which action runs
+// A Scheduler runs one harness execution: it runs the harness's N threads
+// as fibers (src/base/fiber.h) on its own OS thread, so exactly ONE runs at a
+// time, and switches only at sync points (every mc:: shim operation,
+// src/base/mc.h). Which action runs
 // next is decided by a Strategy — a replayed schedule prefix during
 // systematic exploration, or a PCT priority schedule for randomized search.
 // The sequence of choices made is the *schedule trace*: a list of

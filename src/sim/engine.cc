@@ -7,21 +7,18 @@
 namespace malt {
 
 // ---------------------------------------------------------------------------
-// Concurrency model
+// Execution model
 //
-// Exactly one thread touches simulator state at any instant: either the
-// scheduler (inside Run(), while every process thread is parked) or a single
-// process thread that owns the baton (while the scheduler is parked in a
-// condition wait). The mutex exists for the handoff protocol and for memory
-// visibility across handoffs; application state needs no further locking.
-// mu_ is recursive because event callbacks (run under the scheduler with the
-// lock held) may call ScheduleEvent().
+// The engine is single-threaded. Run() executes the scheduler loop on the
+// calling thread and runs each process as a Fiber on that same thread: a
+// slice is Fiber::Resume(), and a process's yield is Fiber::Suspend(). At any
+// instant either the scheduler or exactly one process runs, so neither
+// simulator state nor application state needs locking, and event callbacks
+// may call ScheduleEvent() directly.
 // ---------------------------------------------------------------------------
 
 void Process::Advance(SimDuration dt) {
   MALT_CHECK(dt >= 0) << "Advance with negative duration " << dt;
-  // The baton guarantees exclusive access; the scheduler reads clock_ only
-  // after the state change inside YieldFromProcess (which synchronizes).
   clock_ += dt;
   engine_->YieldFromProcess(*this, ProcState::kRunnable);
 }
@@ -64,12 +61,6 @@ void Process::CheckKilled() {
   }
 }
 
-Engine::Engine() = default;
-
-Engine::~Engine() {
-  // Run() joins all threads; if Run() was never called, no threads started.
-}
-
 int Engine::AddProcess(std::string name, std::function<void(Process&)> body) {
   MALT_CHECK(!running_) << "AddProcess after Run()";
   auto proc = std::unique_ptr<Process>(new Process());
@@ -85,19 +76,12 @@ void Engine::ScheduleKill(int pid, SimTime when) {
   // Validated at fire time: kills are routinely scheduled before processes
   // are registered (test setup, experiment scripts).
   ScheduleEvent(when, [this, pid] {
-    // Event callbacks run under the scheduler with mu_ held (ApplyEvent);
-    // the analysis cannot see that through the std::function indirection.
-    mu_.AssertHeld();
     MALT_CHECK(pid >= 0 && pid < static_cast<int>(procs_.size())) << "bad pid " << pid;
     KillProcess(*procs_[static_cast<size_t>(pid)]);
   });
 }
 
 void Engine::ScheduleEvent(SimTime when, std::function<void()> fn) {
-  // Deliberately reentrant (event callbacks call this with mu_ held); the
-  // recursive mutex makes that safe at runtime, and keeping this function
-  // free of REQUIRES keeps the unsupported-by-analysis reentrancy local.
-  RecursiveMutexLock lock(mu_);
   events_.push(Event{when, next_event_seq_++, std::move(fn)});
 }
 
@@ -106,27 +90,32 @@ void Engine::AddKillHook(std::function<void(int pid)> hook) {
 }
 
 bool Engine::alive(int pid) const {
-  RecursiveMutexLock lock(mu_);
-  const ProcState s = procs_[static_cast<size_t>(pid)]->state_;
-  return s != ProcState::kKilled;
+  return procs_[static_cast<size_t>(pid)]->state_ != ProcState::kKilled;
 }
 
-ProcState Engine::state(int pid) const {
-  RecursiveMutexLock lock(mu_);
-  return procs_[static_cast<size_t>(pid)]->state_;
-}
+ProcState Engine::state(int pid) const { return procs_[static_cast<size_t>(pid)]->state_; }
 
 void Engine::YieldFromProcess(Process& p, ProcState new_state) {
-  UniqueLock lock(mu_);
   p.state_ = new_state;
-  scheduler_cv_.notify_all();
-  p.cv_.wait(lock, [&p] { return p.state_ == ProcState::kRunning; });
-  lock.unlock();
+  p.fiber_->Suspend();
+  // Resumed: the scheduler set kRunning. A kill delivered meanwhile unwinds
+  // the process's stack from here.
   p.CheckKilled();
 }
 
+void Engine::RunBody(Process& p) {
+  bool killed = false;
+  try {
+    p.CheckKilled();
+    p.body_(p);
+  } catch (const ProcessKilled&) {
+    killed = true;
+  }
+  p.state_ = (killed || p.kill_pending_) ? ProcState::kKilled : ProcState::kDone;
+}
+
 void Engine::KillProcess(Process& p) {
-  // Runs in event context (scheduler thread, lock held).
+  // Runs in event context (on the scheduler).
   if (p.state_ == ProcState::kDone || p.state_ == ProcState::kKilled || p.kill_pending_) {
     return;
   }
@@ -162,8 +151,7 @@ void Engine::ReevaluateBlocked(SimTime wake_time) {
   }
 }
 
-void Engine::ApplyEvent(UniqueLock& lock, Event event) {
-  (void)lock;
+void Engine::ApplyEvent(Event event) {
   // now() is the time of the current dispatch. It is not globally monotonic
   // across dispatches (a coarse process slice may already have run past this
   // event's time); consumers needing ordering use absolute event times.
@@ -176,14 +164,13 @@ void Engine::ApplyEvent(UniqueLock& lock, Event event) {
   ReevaluateBlocked(event.when);
 }
 
-void Engine::RunProcessSlice(UniqueLock& lock, Process& p) {
+void Engine::RunProcessSlice(Process& p) {
   current_time_ = p.clock_;
   if (trace_enabled_) {
     trace_.push_back("P" + std::to_string(p.pid_) + "@" + std::to_string(p.clock_));
   }
   p.state_ = ProcState::kRunning;
-  p.cv_.notify_all();
-  scheduler_cv_.wait(lock, [&p] { return p.state_ != ProcState::kRunning; });
+  p.fiber_->Resume();  // returns at the process's next yield, or its end
   ++stats_.slices_run;
   current_time_ = p.clock_;
   ReevaluateBlocked(p.clock_);
@@ -202,30 +189,12 @@ void Engine::ReportDeadlock() {
 }
 
 void Engine::Run() {
-  UniqueLock lock(mu_);
   MALT_CHECK(!running_) << "Engine::Run called twice";
   running_ = true;
 
   for (const auto& proc : procs_) {
     Process* p = proc.get();
-    p->thread_ = std::thread([this, p] {
-      {
-        UniqueLock thread_lock(mu_);
-        p->cv_.wait(thread_lock, [p] { return p->state_ == ProcState::kRunning; });
-      }
-      bool killed = false;
-      try {
-        p->CheckKilled();
-        p->body_(*p);
-      } catch (const ProcessKilled&) {
-        killed = true;
-      }
-      {
-        RecursiveMutexLock thread_lock(mu_);
-        p->state_ = (killed || p->kill_pending_) ? ProcState::kKilled : ProcState::kDone;
-        scheduler_cv_.notify_all();
-      }
-    });
+    p->fiber_ = std::make_unique<Fiber>([this, p] { RunBody(*p); });
   }
 
   for (;;) {
@@ -261,7 +230,7 @@ void Engine::Run() {
       // Drain remaining events (e.g. in-flight writes after all ranks done).
       Event event = events_.top();
       events_.pop();
-      ApplyEvent(lock, std::move(event));
+      ApplyEvent(std::move(event));
       continue;
     }
 
@@ -289,7 +258,7 @@ void Engine::Run() {
       case 0: {
         Event event = events_.top();
         events_.pop();
-        ApplyEvent(lock, std::move(event));
+        ApplyEvent(std::move(event));
         break;
       }
       case 1: {
@@ -303,7 +272,7 @@ void Engine::Run() {
         break;
       }
       case 2: {
-        RunProcessSlice(lock, *best_proc);
+        RunProcessSlice(*best_proc);
         break;
       }
       default:
@@ -311,11 +280,9 @@ void Engine::Run() {
     }
   }
 
-  lock.unlock();
+  // Every process is done or killed, so every fiber ran to its end.
   for (const auto& proc : procs_) {
-    if (proc->thread_.joinable()) {
-      proc->thread_.join();
-    }
+    proc->fiber_.reset();
   }
 }
 

@@ -1,11 +1,12 @@
 // Deterministic discrete-event cluster simulator.
 //
 // This module replaces the paper's physical cluster (8 machines, 56 Gbps
-// InfiniBand). Every cluster node ("rank") runs as a real OS thread executing
-// real application code, but only one thread runs at a time: the engine hands
-// a baton to the process whose virtual clock is smallest, or applies the
-// earliest pending network event. Virtual time is integer nanoseconds, so the
-// schedule — and therefore every experiment — is exactly reproducible.
+// InfiniBand). Every cluster node ("rank") runs real application code as a
+// fiber (src/base/fiber.h) on the thread that calls Run(). The engine picks
+// the next item — the earliest pending network event, or the process whose
+// virtual clock is smallest — and switches into that process until it
+// yields. Virtual time is integer nanoseconds, so the schedule — and
+// therefore every experiment — is exactly reproducible.
 //
 // Processes interact with virtual time through three calls:
 //   Advance(dt)      — consume dt of modeled compute time, then yield.
@@ -24,41 +25,37 @@
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "src/base/mutex.h"
-#include "src/base/thread_annotations.h"
+#include "src/base/fiber.h"
 #include "src/base/time_units.h"
 
 namespace malt {
 
 class Engine;
 
-// Thrown inside a process thread when the process has been killed; the engine
-// catches it at the top of the process wrapper. Training code may catch and
-// rethrow it (e.g. RAII cleanup) but must not swallow it.
+// Thrown inside a process when it has been killed; the engine catches it at
+// the bottom of the process's fiber, after the stack has unwound. Training
+// code may catch and rethrow it (e.g. RAII cleanup) but must not swallow it.
 struct ProcessKilled {
   int pid;
 };
 
 enum class ProcState : uint8_t {
-  kRunnable,  // wants the baton
-  kRunning,   // owns the baton
+  kRunnable,  // wants to run
+  kRunning,   // its fiber is running
   kBlocked,   // waiting on a predicate
   kDone,      // body returned
   kKilled,    // terminated by failure injection
 };
 
-// Handle passed to process bodies. All methods must be called from the owning
-// process thread while it holds the baton (i.e. from inside the body).
+// Handle passed to process bodies. All methods must be called from inside the
+// body, i.e. on the process's own fiber while it runs.
 class Process {
  public:
   int pid() const { return pid_; }
@@ -95,15 +92,14 @@ class Process {
   std::string name_;
   SimTime clock_ = 0;
 
-  // Scheduler-owned state (guarded by Engine::mu_).
+  // Scheduler-owned state.
   ProcState state_ = ProcState::kRunnable;
   std::function<bool()> pred_;
   SimTime deadline_ = -1;  // -1: none
   bool timed_out_ = false;
   bool kill_pending_ = false;
-  std::condition_variable_any cv_;
-  std::thread thread_;
   std::function<void(Process&)> body_;
+  std::unique_ptr<Fiber> fiber_;  // exists only during Run()
 };
 
 struct EngineStats {
@@ -114,8 +110,7 @@ struct EngineStats {
 
 class Engine {
  public:
-  Engine();
-  ~Engine();
+  Engine() = default;
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -164,30 +159,21 @@ class Engine {
     }
   };
 
-  // Called from process threads (with mu_ held inside).
+  // Called on a process's fiber: records its new state and switches back to
+  // the scheduler.
   void YieldFromProcess(Process& p, ProcState new_state);
 
-  // Scheduler internals (mu_ held; the UniqueLock reference is what the
-  // condition waits relock).
-  void ApplyEvent(UniqueLock& lock, Event event) MALT_REQUIRES(mu_);
-  void RunProcessSlice(UniqueLock& lock, Process& p) MALT_REQUIRES(mu_);
-  void ReevaluateBlocked(SimTime wake_time) MALT_REQUIRES(mu_);
-  void KillProcess(Process& p) MALT_REQUIRES(mu_);
+  // Scheduler internals (run on the thread that called Run()).
+  void RunBody(Process& p);
+  void ApplyEvent(Event event);
+  void RunProcessSlice(Process& p);
+  void ReevaluateBlocked(SimTime wake_time);
+  void KillProcess(Process& p);
   [[noreturn]] void ReportDeadlock();
 
-  // Recursive: event callbacks run with the
-  // lock held and may re-enter ScheduleEvent. The clang analysis does not
-  // model reentrancy, so ScheduleEvent stays annotation-opaque (no REQUIRES)
-  // and its inner acquisition is invisible to callers' lock sets.
-  mutable RecursiveMutex mu_;
-  std::condition_variable_any scheduler_cv_;
-  // procs_ is append-only before Run(); Process's scheduler-owned fields are
-  // protected by the baton-handoff protocol (one runnable thread at a time),
-  // which the analysis cannot express — see DESIGN.md §9.
-  std::vector<std::unique_ptr<Process>> procs_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_
-      MALT_GUARDED_BY(mu_);
-  uint64_t next_event_seq_ MALT_GUARDED_BY(mu_) = 0;
+  std::vector<std::unique_ptr<Process>> procs_;  // append-only before Run()
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
+  uint64_t next_event_seq_ = 0;
   std::vector<std::function<void(int)>> kill_hooks_;
   SimTime current_time_ = 0;
   bool running_ = false;

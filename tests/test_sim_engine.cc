@@ -1,15 +1,42 @@
 // Tests for the discrete-event engine: virtual-time ordering, blocking,
-// deadlines, kill injection, and determinism.
+// deadlines, kill injection, determinism, and the fibers processes run on.
 
 #include "src/sim/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <exception>
+#include <filesystem>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace malt {
 namespace {
+
+// Number of OS threads in this process (Linux: one /proc/self/task entry
+// per thread).
+int ThreadCount() {
+  int n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// what() of the exception currently being handled, as the C++ runtime sees
+// it (not as a handler's reference parameter does).
+std::string CurrentExceptionWhat() {
+  try {
+    std::rethrow_exception(std::current_exception());
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+}
 
 TEST(Engine, SingleProcessAdvancesClock) {
   Engine engine;
@@ -88,18 +115,124 @@ TEST(Engine, WaitUntilOrSucceedsBeforeDeadline) {
 }
 
 TEST(Engine, KillUnwindsBlockedProcess) {
+  // The guard's destructor must run during the kill's unwind, on the
+  // victim's own stack, before Run() returns.
+  struct Guard {
+    uintptr_t* dtor_frame;
+    ~Guard() {
+      int local = 0;
+      *dtor_frame = reinterpret_cast<uintptr_t>(&local);
+    }
+  };
   Engine engine;
   bool reached_after_wait = false;
+  uintptr_t body_frame = 0;
+  uintptr_t dtor_frame = 0;
   const int pid = engine.AddProcess("victim", [&](Process& p) {
+    int local = 0;
+    body_frame = reinterpret_cast<uintptr_t>(&local);
+    Guard guard{&dtor_frame};
     p.WaitUntil([] { return false; });  // would deadlock without the kill
     reached_after_wait = true;
   });
   engine.ScheduleKill(pid, 300);
   engine.AddProcess("other", [&](Process& p) { p.Advance(1000); });
+  int scheduler_local = 0;
+  const auto scheduler_frame = reinterpret_cast<uintptr_t>(&scheduler_local);
   engine.Run();
   EXPECT_FALSE(reached_after_wait);
   EXPECT_FALSE(engine.alive(pid));
   EXPECT_EQ(engine.state(pid), ProcState::kKilled);
+  ASSERT_NE(dtor_frame, 0u) << "the guard's destructor never ran";
+  const auto distance = [](uintptr_t a, uintptr_t b) { return a > b ? a - b : b - a; };
+  EXPECT_LT(distance(dtor_frame, body_frame), uintptr_t{64} << 10)
+      << "the destructor ran off the victim's stack";
+  EXPECT_GT(distance(dtor_frame, scheduler_frame), uintptr_t{64} << 10)
+      << "the destructor ran on the scheduler's stack";
+}
+
+TEST(Engine, YieldInsideCatchHandlerKeepsEachException) {
+  // Two processes are inside catch handlers at once and leave them in the
+  // order they entered (not LIFO). With one shared caught-exception stack,
+  // "a" would end "b"'s exception and "b" would then read a freed object.
+  Engine engine;
+  std::string a_current, a_what, b_current, b_what;
+  int a_uncaught = -1;
+  int b_uncaught = -1;
+  engine.AddProcess("a", [&](Process& p) {
+    try {
+      throw std::runtime_error("from a");
+    } catch (const std::exception& e) {
+      p.Advance(10);  // t=0 -> 10; "b" enters its handler at t=5
+      a_current = CurrentExceptionWhat();
+      a_uncaught = std::uncaught_exceptions();
+      a_what = e.what();
+    }  // leaves first, at t=10
+  });
+  engine.AddProcess("b", [&](Process& p) {
+    p.Advance(5);
+    try {
+      throw std::runtime_error("from b");
+    } catch (const std::exception& e) {
+      p.Advance(15);  // t=5 -> 20, after "a" left its handler
+      b_current = CurrentExceptionWhat();
+      b_uncaught = std::uncaught_exceptions();
+      b_what = e.what();
+    }
+  });
+  engine.Run();
+  EXPECT_EQ(a_current, "from a");
+  EXPECT_EQ(a_what, "from a");
+  EXPECT_EQ(a_uncaught, 0);
+  EXPECT_EQ(b_current, "from b");
+  EXPECT_EQ(b_what, "from b");
+  EXPECT_EQ(b_uncaught, 0);
+  // Nothing leaked into the scheduler's own exception state.
+  EXPECT_EQ(std::current_exception(), nullptr);
+}
+
+// Unbounded recursion; the depth check only keeps the compiler from proving
+// the recursion infinite.
+int Recurse(int depth, int limit) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  if (depth >= limit) {
+    return frame[0];
+  }
+  return Recurse(depth + 1, limit) + frame[0];
+}
+
+TEST(EngineDeathTest, StackOverflowInProcessFaultsOnGuardPage) {
+  // A process that overflows its fiber stack must die on the guard page
+  // below it, as a thread's overflow does, rather than write past the stack.
+  EXPECT_DEATH(
+      {
+        Engine engine;
+        engine.AddProcess("deep", [](Process& p) {
+          volatile int limit = 1 << 30;
+          Recurse(0, limit);
+          p.Advance(1);
+        });
+        engine.Run();
+      },
+      "");
+}
+
+TEST(Engine, DestroyedWithoutRunReleasesBodies) {
+  // Nothing is allocated for a process before Run(): destroying an engine
+  // that never ran frees each body and its captures (LeakSanitizer checks
+  // the rest under the ASan build).
+  auto payload = std::make_shared<std::vector<int>>(1 << 16, 7);
+  {
+    Engine engine;
+    for (int pid = 0; pid < 8; ++pid) {
+      engine.AddProcess("p" + std::to_string(pid),
+                        [payload](Process& p) { p.Advance(payload->at(0)); });
+    }
+    engine.ScheduleEvent(100, [payload] { (void)payload; });
+    EXPECT_EQ(payload.use_count(), 10);
+  }
+  EXPECT_EQ(payload.use_count(), 1);
 }
 
 TEST(Engine, KillHooksRun) {
@@ -152,18 +285,25 @@ TEST(Engine, DeterministicTraceAcrossRuns) {
 }
 
 TEST(Engine, ManyProcessesAllFinish) {
-  Engine engine;
-  int finished = 0;
-  for (int pid = 0; pid < 32; ++pid) {
-    engine.AddProcess("p" + std::to_string(pid), [&, pid](Process& p) {
-      for (int i = 0; i < 5; ++i) {
-        p.Advance(1 + pid);
-      }
-      ++finished;
-    });
+  for (const int procs : {32, 256}) {
+    Engine engine;
+    const int threads_before = ThreadCount();
+    int finished = 0;
+    int max_threads = 0;
+    for (int pid = 0; pid < procs; ++pid) {
+      engine.AddProcess("p" + std::to_string(pid), [&, pid](Process& p) {
+        for (int i = 0; i < 5; ++i) {
+          p.Advance(1 + pid);
+        }
+        max_threads = std::max(max_threads, ThreadCount());
+        ++finished;
+      });
+    }
+    engine.Run();
+    EXPECT_EQ(finished, procs);
+    // Processes are fibers on the calling thread: the run starts no thread.
+    EXPECT_EQ(max_threads, threads_before) << procs << " processes";
   }
-  engine.Run();
-  EXPECT_EQ(finished, 32);
 }
 
 TEST(Engine, EventChainSchedulesFromEventContext) {

@@ -42,6 +42,11 @@ Rules:
                   mc::atomic<T>, mc::atomic_flag, mc::Fence, and the mc::
                   word-atomic helpers. std::memory_order tokens are fine —
                   they parameterize the shim, they do not bypass it.
+  raw-fiber       makecontext / swapcontext / setcontext / getcontext outside
+                  src/base/fiber.{h,cc}: a context switch made anywhere else
+                  skips the per-fiber exception state and the ASan / TSan
+                  switch annotations that malt::Fiber applies to every
+                  switch. Use malt::Fiber (Resume / Suspend).
 
 A line containing NOLINT(malt-api) is skipped. Exit status: 0 clean,
 1 findings, 2 usage error.
@@ -84,6 +89,9 @@ RAW_MUTEX = re.compile(
     r"std::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b|"
     r"\bpthread_mutex(?:_t)?\b"
 )
+
+RAW_FIBER = re.compile(r"\b(?:make|swap|set|get)context\s*\(")
+FIBER_HOME = ("src/base/fiber.h", "src/base/fiber.cc")
 
 # Model-checked protocol code: every atomic op must route through the mc::
 # shim so the interleaving checker sees it as a sync point. memory_order
@@ -165,6 +173,12 @@ def lint_lines(rel: str, lines: list, findings: list) -> None:
                              "raw std/pthread mutex outside src/base/; use the "
                              "annotated wrappers in src/base/mutex.h so the "
                              "thread-safety analysis sees the lock"))
+
+        if rel not in FIBER_HOME and RAW_FIBER.search(stripped):
+            findings.append((rel, lineno, "raw-fiber",
+                             "raw ucontext switch outside src/base/fiber.*; "
+                             "use malt::Fiber so exception state and the "
+                             "sanitizer annotations follow every switch"))
 
         for name in GETTER.findall(stripped):
             if not COUNTER_NAME.match(name):
