@@ -31,7 +31,8 @@
 // MALT_MC_MUTATE names the planted-bug sites for the model checker's
 // mutation self-test (tools/malt_mc --selftest): each site weakens one
 // protocol decision (drop a release fence, skip the seqlock parity bump,
-// publish a ring index relaxed) when the corresponding McMutation is armed.
+// publish a ring index or a region-table slot relaxed) when the
+// corresponding McMutation is armed.
 // In normal builds the macro is the constant false and the compiler folds
 // the mutated branch away.
 
@@ -56,6 +57,7 @@ enum class McMutation : uint8_t {
   kSeqlockSkipParityBump,     // SeqLock writes never take the sequence odd
   kRingRelaxedPublish,        // CompletionRing::TryPush publishes tail relaxed
   kShmemPublishFenceDropped,  // GuardedStore's unguarded publish loses its fence
+  kRegionRelaxedPublish,      // RegisterMemory publishes the region table slot relaxed
 };
 
 #if defined(MALT_MODELCHECK)

@@ -216,6 +216,9 @@ class ProtocolChecker {
 
   // `payload` is what the reader is about to hand to the application; only
   // needed for kConsumed (used for byte-exact validation at full level).
+  // For kSkippedStale the reader decides from the header alone, before
+  // copying the slot, so it passes seq_back == seq_front: the stale rule and
+  // the reader-window refresh read only seq_front.
   // Thread-safe; call from the reading rank's thread.
   void OnSlotRead(int reader, uint32_t rkey, int queue_pos, int slot, uint64_t seq_front,
                   uint64_t seq_back, uint32_t iter, std::span<const std::byte> payload,

@@ -94,9 +94,11 @@ Graph Graph::InducedSubgraph(const std::vector<int>& survivors) const {
 std::string Graph::ToString() const {
   std::string out;
   for (int src = 0; src < size(); ++src) {
-    out += std::to_string(src) + " ->";
+    out += std::to_string(src);
+    out += " ->";
     for (int dst : OutEdges(src)) {
-      out += " " + std::to_string(dst);
+      out += ' ';  // piecewise: gcc 12 -O3 warns -Wrestrict on `" " + std::to_string(...)`
+      out += std::to_string(dst);
     }
     out += "\n";
   }

@@ -77,6 +77,8 @@ Dstorm::Dstorm(DstormDomain* domain, Transport* transport, int rank, int world,
   c_objects_folded_ = reg.GetCounter("dstorm.objects_folded");
   c_torn_skipped_ = reg.GetCounter("dstorm.torn_slots_skipped");
   c_overwrites_ = reg.GetCounter("dstorm.overwrites_on_full");
+  c_gather_bytes_copied_ = reg.GetCounter("dstorm.gather_bytes_copied");
+  c_gather_bytes_consumed_ = reg.GetCounter("dstorm.gather_bytes_consumed");
   c_barriers_ = reg.GetCounter("dstorm.barriers");
   c_barrier_timeouts_ = reg.GetCounter("dstorm.barrier_timeouts");
   c_error_completions_ = reg.GetCounter("dstorm.error_completions");
@@ -382,10 +384,11 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
   const auto& in_edges = s.options.graph.InEdges(rank_);
   const int depth = s.options.queue_depth;
   MALT_CHECK(depth <= 16) << "queue depth > 16 unsupported";
-  // Snapshot arena: each candidate slot's payload + back stamp is copied out
+  // Snapshot arena: each fresh slot's payload + back stamp is copied out
   // through Transport::Read (torn-read detecting) before consume() ever sees
-  // it, so under the shmem transport a sender overwriting the slot mid-read
-  // is detected rather than observed. The arena lives on the segment because
+  // it (a slot whose header is already stale is skipped uncopied), so under
+  // the shmem transport a sender overwriting the slot mid-read is detected
+  // rather than observed. The arena lives on the segment because
   // RecvObject spans must stay valid after Gather returns (deferred folding).
   const size_t arena_stride = AlignUp8(s.options.obj_bytes + sizeof(uint64_t));
   s.gather_arena.resize(in_edges.size() * static_cast<size_t>(depth) * arena_stride);
@@ -416,9 +419,23 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
       if (seq_front == 0 || bytes > s.options.obj_bytes) {
         continue;  // never written, or header mid-write
       }
+      // Stale before copying: the header alone decides. On shmem the header
+      // Read was validated by the stripe seqlock, so no newer write had
+      // committed when it was read; on sim the first half of a torn write
+      // already carries the new header, so a slot mid-write never looks
+      // stale. Either way no back stamp is needed, hence seq_back = seq_front.
+      if (seq_front <= s.last_consumed[static_cast<size_t>(sender)]) {
+        if (checking) {
+          checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, seq_front,
+                             seq_front, LoadU32(header + kIterOff), {},
+                             ProtocolChecker::ReadAction::kSkippedStale, check_now);
+        }
+        continue;  // already folded
+      }
       std::byte* snap = s.gather_arena.data() +
                         (pos * static_cast<size_t>(depth) + static_cast<size_t>(slot)) *
                             arena_stride;
+      c_gather_bytes_copied_->Add(static_cast<int64_t>(bytes));
       if (!transport_->Read(s.recv_mr, base_off + kPayloadOff,
                             std::span<std::byte>(snap, bytes + sizeof(uint64_t)))) {
         c_torn_skipped_->Add(1);
@@ -433,14 +450,6 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
                              ProtocolChecker::ReadAction::kSkippedTorn, check_now);
         }
         continue;  // torn (write in flight) — skip, the paper's atomic gather
-      }
-      if (seq_front <= s.last_consumed[static_cast<size_t>(sender)]) {
-        if (checking) {
-          checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, seq_front,
-                             seq_back, LoadU32(header + kIterOff), {},
-                             ProtocolChecker::ReadAction::kSkippedStale, check_now);
-        }
-        continue;  // already folded
       }
       fresh[fresh_count++] = Fresh{seq_front, slot, LoadU32(header + kIterOff), bytes};
     }
@@ -471,6 +480,7 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
             static_cast<int64_t>(fresh[i].iter));
       }
       consume(obj);
+      c_gather_bytes_consumed_->Add(static_cast<int64_t>(fresh[i].bytes));
       const uint64_t previous = s.last_consumed[static_cast<size_t>(sender)];
       if (fresh[i].seq > previous + 1 && previous != 0) {
         const int64_t gap = static_cast<int64_t>(fresh[i].seq - previous - 1);

@@ -269,6 +269,11 @@ class Dstorm {
   Counter* c_objects_folded_ = nullptr;
   Counter* c_torn_skipped_ = nullptr;
   Counter* c_overwrites_ = nullptr;
+  // Copy amplification: payload bytes Gather copied into the snapshot arena
+  // (back stamps and headers not counted) vs payload bytes it handed to
+  // consume().
+  Counter* c_gather_bytes_copied_ = nullptr;
+  Counter* c_gather_bytes_consumed_ = nullptr;
   Counter* c_barriers_ = nullptr;
   Counter* c_barrier_timeouts_ = nullptr;
   Counter* c_error_completions_ = nullptr;

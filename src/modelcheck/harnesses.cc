@@ -242,6 +242,49 @@ class ShmemPublishHarness : public Harness {
   MrHandle mr_;
 };
 
+// --- shmem region table publish ---------------------------------------------
+//
+// The lock-free region table: rank 1's thread registers two regions (rkey 0,
+// then rkey 1) while another thread waits until rkey 1 is registered, then
+// looks up rkey 0 and reads rkey 1. RegisterMemory's release store makes
+// every earlier registration by the same thread visible before the new
+// slot, so finding rkey 1 implies finding rkey 0. Mutation
+// kRegionRelaxedPublish publishes relaxed; the scheduler may then commit
+// the rkey 1 slot first, and the lookup of rkey 0 comes back empty.
+class ShmemRegionPublishHarness : public Harness {
+ public:
+  ShmemRegionPublishHarness() : transport_(2) {}
+
+  std::vector<std::function<void()>> Threads() override {
+    return {
+        [this] {
+          (void)transport_.RegisterMemory(/*node=*/1, /*bytes=*/8, /*guard_stripe_bytes=*/0);
+          (void)transport_.RegisterMemory(/*node=*/1, /*bytes=*/8, /*guard_stripe_bytes=*/0);
+        },
+        [this] {
+          while (!transport_.Registered(MrHandle{1, 1})) {
+            MALT_MC_SPIN_YIELD();  // rkey 1 not published yet
+          }
+          if (!transport_.Registered(MrHandle{1, 0})) {
+            Scheduler::Fail("rkey 1 was published before rkey 0");
+          }
+          std::byte bytes[sizeof(uint64_t)];
+          if (!transport_.Read(MrHandle{1, 1}, 0, std::span<std::byte>(bytes, sizeof(bytes)))) {
+            Scheduler::Fail("unguarded read reported torn");
+          }
+          uint64_t value = 1;
+          std::memcpy(&value, bytes, sizeof(value));
+          if (value != 0) {
+            Scheduler::Fail("fresh region reads " + std::to_string(value) + ", not zero");
+          }
+        },
+    };
+  }
+
+ private:
+  ShmemTransport transport_;
+};
+
 // --- rank kill handshake ----------------------------------------------------
 //
 // The cooperative fail-stop protocol: a victim rank parked in Wait() must
@@ -285,15 +328,13 @@ class RankKillHarness : public Harness {
 // trailer, built by check::EncodeSlotImage) through ShmemTransport::PostWrite
 // into a slot-striped region on rank 1, with a concurrent-mode
 // ProtocolChecker bound to the transport so every apply is ledgered; rank 1
-// polls the slot with transport Read + check::ParseSlotImage and reports
-// every consumed (or torn) snapshot to the checker. The oracle is the
-// checker itself: any torn-read escape, phantom seq, or duplicate consume
-// increments violation_count(). Too many sync points for exhaustive DFS —
-// this one is PCT-only.
-//
-// NOTE: must never call MarkDead here — it stores through the shim while
-// holding a real lock, which would park the scheduler inside a critical
-// section.
+// polls the slot as Dstorm::Gather does — header Read first (a stale header
+// is reported as kSkippedStale before any copy), then the whole slot with
+// transport Read + check::ParseSlotImage — and reports every stale, torn or
+// consumed snapshot to the checker. The oracle is the checker itself: any
+// torn-read escape, phantom seq, stale-skipped fresh seq or duplicate
+// consume increments violation_count(). Too many sync points for exhaustive
+// DFS — this one is PCT-only.
 class DstormSlotHarness : public Harness {
  public:
   DstormSlotHarness() : checker_(CheckLevel::kFull, /*world=*/2), transport_(MakeTransport()) {
@@ -332,6 +373,27 @@ class DstormSlotHarness : public Harness {
           std::byte snap[kStride];
           uint32_t consumed = 0;
           while (consumed < kIters) {
+            // Header first, as Dstorm::Gather does: a stale header is
+            // reported and skipped before the slot is copied.
+            if (!transport_->Read(mr_, 0, std::span<std::byte>(snap, check::kPayloadOff))) {
+              MALT_MC_SPIN_YIELD();  // write in flight on the stripe
+              continue;
+            }
+            uint64_t seq_front = 0;
+            uint32_t iter = 0;
+            std::memcpy(&seq_front, snap, sizeof(seq_front));
+            std::memcpy(&iter, snap + sizeof(seq_front), sizeof(iter));
+            if (seq_front == 0) {
+              MALT_MC_SPIN_YIELD();  // never written
+              continue;
+            }
+            if (seq_front <= consumed) {
+              checker_.OnSlotRead(/*reader=*/1, mr_.rkey, /*queue_pos=*/0, /*slot=*/0,
+                                  seq_front, seq_front, iter, {},
+                                  ProtocolChecker::ReadAction::kSkippedStale, /*now=*/0);
+              MALT_MC_SPIN_YIELD();  // stale: nothing new since the last gather
+              continue;
+            }
             if (!transport_->Read(mr_, 0, std::span<std::byte>(snap, kStride))) {
               MALT_MC_SPIN_YIELD();  // write in flight on the stripe
               continue;
@@ -343,10 +405,6 @@ class DstormSlotHarness : public Harness {
                                   img.seq_front, img.seq_back, img.iter, {},
                                   ProtocolChecker::ReadAction::kSkippedTorn, /*now=*/0);
               MALT_MC_SPIN_YIELD();
-              continue;
-            }
-            if (img.iter <= consumed) {
-              MALT_MC_SPIN_YIELD();  // stale: nothing new since the last gather
               continue;
             }
             checker_.OnSlotRead(/*reader=*/1, mr_.rkey, /*queue_pos=*/0, /*slot=*/0,
@@ -397,6 +455,9 @@ const std::vector<HarnessInfo> kHarnesses = {
      /*dfs_feasible=*/true, /*expected_steps=*/96},
     {"shmem_publish", "ShmemTransport unguarded region: payload-then-flag publish", 2,
      /*dfs_feasible=*/true, /*expected_steps=*/128},
+    {"shmem_region_publish",
+     "ShmemTransport region table: register rkeys 0,1 vs a reader that finds rkey 1", 2,
+     /*dfs_feasible=*/true, /*expected_steps=*/256},
     {"rankctx_kill", "ShmemRankCtx: RequestKill observed from a parked Wait()", 2,
      /*dfs_feasible=*/true, /*expected_steps=*/96},
     {"dstorm_slot_ledger",
@@ -435,6 +496,9 @@ HarnessFactory MakeHarness(const std::string& name) {
   }
   if (name == "shmem_publish") {
     return [] { return std::make_unique<ShmemPublishHarness>(); };
+  }
+  if (name == "shmem_region_publish") {
+    return [] { return std::make_unique<ShmemRegionPublishHarness>(); };
   }
   if (name == "rankctx_kill") {
     return [] { return std::make_unique<RankKillHarness>(); };

@@ -78,7 +78,8 @@ ShmemTransport::ShmemTransport(int nodes, ShmemOptions options, TelemetryDomain*
       flow_events_(telemetry_->options().flow_events),
       edges_(static_cast<size_t>(nodes) * static_cast<size_t>(nodes)),
       stats_(nodes),
-      regions_(static_cast<size_t>(nodes)),
+      regions_(std::make_unique<mc::atomic<Region*>[]>(static_cast<size_t>(nodes) *
+                                                        kMaxRegionsPerNode)),
       next_wr_id_(static_cast<size_t>(nodes), 1) {
   MALT_CHECK(nodes >= 1) << "shmem transport needs at least one rank";
   MALT_CHECK(telemetry_->ranks() >= nodes) << "telemetry domain smaller than transport";
@@ -101,6 +102,14 @@ ShmemTransport::ShmemTransport(int nodes, ShmemOptions options, TelemetryDomain*
                                      HistogramMetric::Options{0.0, 1.0e6, 64});
     cq_.emplace_back(options_.cq_capacity);
     alive_.emplace_back(true);
+    next_rkey_.emplace_back(0);
+  }
+}
+
+ShmemTransport::~ShmemTransport() {
+  const size_t slots = static_cast<size_t>(nodes_) * kMaxRegionsPerNode;
+  for (size_t i = 0; i < slots; ++i) {
+    delete regions_[i].load(std::memory_order_acquire);
   }
 }
 
@@ -138,10 +147,20 @@ void ShmemTransport::AccountPost(int src, int dst, size_t bytes, bool float_add)
 
 MrHandle ShmemTransport::RegisterMemory(int node, size_t bytes, size_t guard_stripe_bytes) {
   MALT_CHECK(node >= 0 && node < nodes_) << "bad node " << node;
-  WriterMutexLock lock(region_mu_);
-  auto& list = regions_[static_cast<size_t>(node)];
-  list.push_back(std::make_unique<Region>(bytes, guard_stripe_bytes));
-  return MrHandle{node, static_cast<uint32_t>(list.size() - 1)};
+  const uint32_t rkey =
+      next_rkey_[static_cast<size_t>(node)].fetch_add(1, std::memory_order_relaxed);
+  MALT_CHECK(rkey < kMaxRegionsPerNode)
+      << "node " << node << " registers more than " << kMaxRegionsPerNode << " regions";
+  // Release publish: a reader whose acquire load in FindRegion sees the
+  // pointer also sees the constructed Region and every earlier registration
+  // by this thread. Mutation kRegionRelaxedPublish drops the release
+  // ordering, so a later rkey can become visible before an earlier one.
+  auto region = std::make_unique<Region>(bytes, guard_stripe_bytes);
+  regions_[static_cast<size_t>(node) * kMaxRegionsPerNode + rkey].store(
+      region.get(), MALT_MC_MUTATE(kRegionRelaxedPublish) ? std::memory_order_relaxed
+                                                          : std::memory_order_release);
+  region.release();  // the table owns it now; ~ShmemTransport frees it
+  return MrHandle{node, rkey};
 }
 
 void ShmemTransport::DeregisterMemory(MrHandle mr) {
@@ -151,15 +170,16 @@ void ShmemTransport::DeregisterMemory(MrHandle mr) {
 }
 
 ShmemTransport::Region* ShmemTransport::FindRegion(MrHandle mr) const {
-  if (!mr.valid() || mr.node >= nodes_) {
+  if (!mr.valid() || mr.node >= nodes_ || mr.rkey >= kMaxRegionsPerNode) {
     return nullptr;
   }
-  ReaderMutexLock lock(region_mu_);
-  const auto& list = regions_[static_cast<size_t>(mr.node)];
-  if (mr.rkey >= list.size()) {
-    return nullptr;
-  }
-  return list[mr.rkey].get();  // unique_ptr target is stable after unlock
+  return regions_[static_cast<size_t>(mr.node) * kMaxRegionsPerNode + mr.rkey].load(
+      std::memory_order_acquire);
+}
+
+bool ShmemTransport::Registered(MrHandle mr) const {
+  const Region* region = FindRegion(mr);
+  return region != nullptr && region->registered.load(std::memory_order_acquire);
 }
 
 std::span<std::byte> ShmemTransport::Data(MrHandle mr) {
@@ -396,8 +416,8 @@ void ShmemTransport::MarkDead(int node) {
   MALT_CHECK(node >= 0 && node < nodes_) << "bad node " << node;
   alive_[static_cast<size_t>(node)].store(false, std::memory_order_release);
   // The HCA is gone: the dead node's regions stop accepting remote writes.
-  ReaderMutexLock lock(region_mu_);
-  for (const auto& region : regions_[static_cast<size_t>(node)]) {
+  for (uint32_t rkey = 0; rkey < kMaxRegionsPerNode; ++rkey) {
+    Region* region = FindRegion(MrHandle{node, rkey});
     if (region != nullptr) {
       region->registered.store(false, std::memory_order_release);
     }

@@ -4,8 +4,8 @@
 // A one-sided "RDMA write" here is a real memcpy into a peer-owned segment,
 // performed by the *sender's* thread — the sending CPU plays the DMA engine,
 // the receiver's CPU is never involved, exactly the one-sidedness property
-// dstorm is built on. Three mechanisms make this safe under preemptive
-// concurrency:
+// dstorm is built on. Four mechanisms make this safe and lock-free under
+// preemptive concurrency:
 //   1. Striped SeqLocks (src/base/seqlock.h): a registered region is divided
 //      into guard stripes (dstorm registers one stripe per receive slot, so
 //      concurrent senders never share a stripe). A writer holds the stripe's
@@ -18,6 +18,9 @@
 //   3. Lock-free completion queues: each rank has a fixed-capacity SPSC ring
 //      of completions. Writes apply inline, so a rank's own post is the only
 //      producer and its own poll the only consumer.
+//   4. A lock-free region table: registration publishes each region into a
+//      fixed per-node slot once, and every post or read resolves its handle
+//      with one acquire load (see kMaxRegionsPerNode).
 //
 // The protocol checker (src/check/check.h) runs here too: when a checker is
 // bound at construction, every one-sided write is bracketed with
@@ -46,9 +49,7 @@
 #include <vector>
 
 #include "src/base/mc.h"
-#include "src/base/mutex.h"
 #include "src/base/seqlock.h"
-#include "src/base/thread_annotations.h"
 #include "src/base/status.h"
 #include "src/base/time_units.h"
 #include "src/check/check.h"
@@ -91,12 +92,18 @@ class CompletionRing {
 
 class ShmemTransport : public Transport {
  public:
+  // Capacity of each node's region table. dstorm registers two regions per
+  // node (barrier counters, probe scratch) plus one per segment and one per
+  // accumulator; registering a region past this limit is a fatal check.
+  static constexpr uint32_t kMaxRegionsPerNode = 64;
+
   // `checker` (optional) validates the one-sided write protocol live; it
   // must be in concurrent mode (ProtocolChecker::SetConcurrent) and outlive
   // the transport. Without one, an owned off-level checker answers queries.
   explicit ShmemTransport(int nodes, ShmemOptions options = ShmemOptions{},
                           TelemetryDomain* telemetry = nullptr,
                           ProtocolChecker* checker = nullptr);
+  ~ShmemTransport() override;
 
   TransportKind kind() const override { return TransportKind::kShmem; }
   int nodes() const override { return nodes_; }
@@ -112,6 +119,10 @@ class ShmemTransport : public Transport {
   using Transport::RegisterMemory;
   void DeregisterMemory(MrHandle mr) override;
   std::span<std::byte> Data(MrHandle mr) override;
+
+  // Whether `mr` names a region that is published in its node's table and
+  // not torn down by DeregisterMemory or MarkDead. Lock-free; any thread.
+  bool Registered(MrHandle mr) const;
 
   [[nodiscard]] bool Read(MrHandle mr, size_t offset, std::span<std::byte> out) const override;
   void Write(MrHandle mr, size_t offset, std::span<const std::byte> data) override;
@@ -189,7 +200,8 @@ class ShmemTransport : public Transport {
     HistogramMetric* delivery_ns;
   };
 
-  // Region lookup under the shared lock; null when the handle names nothing.
+  // Lock-free region lookup: a bounds check plus one acquire load of the
+  // node's table slot. Null when the handle names no published slot.
   Region* FindRegion(MrHandle mr) const;
   void GuardedStore(Region& region, size_t offset, std::span<const std::byte> data);
   void PushCompletion(int src, const Completion& c);
@@ -208,14 +220,16 @@ class ShmemTransport : public Transport {
   std::vector<EdgeCells> edges_;              // [src*nodes+dst], lazily resolved
   TrafficStats stats_;
 
-  // Registration is rare (collective segment creation before training) and
-  // lookup is hot; a reader/writer lock keeps lookups concurrent. Regions are
-  // held by unique_ptr so pointers stay stable across registrations — a
-  // Region* obtained under the lock stays valid after release (its seqlock
-  // guards and atomic flags carry the per-slot protection from there).
-  mutable SharedMutex region_mu_;
-  std::vector<std::vector<std::unique_ptr<Region>>> regions_
-      MALT_GUARDED_BY(region_mu_);  // [node][rkey]
+  // The region table: kMaxRegionsPerNode slots per node, each an atomic
+  // Region*. Registration (rare: collective segment creation before
+  // training) claims the next rkey with one fetch_add and publishes the new
+  // Region with a release store; every PostWrite/Read resolves its handle
+  // with an acquire load and takes no lock, the way an RDMA NIC resolves an
+  // rkey registered once. A published Region is never moved or freed before
+  // the transport is destroyed (deregistration only clears its `registered`
+  // flag), so a Region* stays valid for the transport's lifetime.
+  std::unique_ptr<mc::atomic<Region*>[]> regions_;  // [node * kMaxRegionsPerNode + rkey]
+  std::deque<mc::atomic<uint32_t>> next_rkey_;      // [node]
 
   std::deque<CompletionRing> cq_;          // [node]; deque: ring is immovable
   std::vector<uint64_t> next_wr_id_;       // [node]; only node's thread posts

@@ -1,6 +1,8 @@
 #include "src/sim/engine.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "src/base/log.h"
 
@@ -167,7 +169,13 @@ void Engine::ApplyEvent(Event event) {
 void Engine::RunProcessSlice(Process& p) {
   current_time_ = p.clock_;
   if (trace_enabled_) {
-    trace_.push_back("P" + std::to_string(p.pid_) + "@" + std::to_string(p.clock_));
+    // Appended piecewise: gcc 12 -O3 reports a false -Wrestrict on
+    // `"P" + std::to_string(...)`.
+    std::string entry = "P";
+    entry += std::to_string(p.pid_);
+    entry += '@';
+    entry += std::to_string(p.clock_);
+    trace_.push_back(std::move(entry));
   }
   p.state_ = ProcState::kRunning;
   p.fiber_->Resume();  // returns at the process's next yield, or its end

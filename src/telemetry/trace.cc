@@ -130,7 +130,6 @@ void AppendChromeTrace(std::string* out, const std::vector<const TraceRing*>& ri
 
   out->append("[\n");
   bool first = true;
-  char buf[96];
   for (size_t tid = 0; tid < rings.size(); ++tid) {
     if (rings[tid] == nullptr) {
       continue;
@@ -141,11 +140,12 @@ void AppendChromeTrace(std::string* out, const std::vector<const TraceRing*>& ri
       out->append(",\n");
     }
     first = false;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":0,\"tid\":%zu,"
-                  "\"args\":{\"name\":\"rank %zu\"}}",
-                  tid, tid);
-    out->append(buf);
+    const std::string id = std::to_string(tid);
+    out->append("{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":0,\"tid\":");
+    out->append(id);
+    out->append(",\"args\":{\"name\":\"rank ");
+    out->append(id);
+    out->append("\"}}");
   }
   for (const Tagged& t : all) {
     if (!first) {

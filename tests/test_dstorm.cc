@@ -223,6 +223,57 @@ TEST(Dstorm, TornWriteSkippedThenConsumed) {
   EXPECT_EQ(metrics.CounterValue("dstorm.objects_folded"), 1);
 }
 
+// Gather reads each slot's header first and copies only fresh payloads: on
+// a queue_depth=4 segment whose four slots all hold written (already
+// consumed) objects, one fresh object per sender costs exactly one payload
+// copy per sender, and a Gather with nothing new copies nothing.
+TEST(Dstorm, GatherCopiesOnlyFreshPayloads) {
+  const int n = 3;
+  const int depth = 4;
+  const size_t obj_bytes = 64;
+  DstormCluster cluster(n);
+  std::vector<int64_t> fresh_copied(n, -1);
+  std::vector<int64_t> fresh_consumed(n, -1);
+  std::vector<int64_t> idle_copied(n, -1);
+  std::vector<int> idle_objects(n, -1);
+
+  cluster.Run([&](int rank, Dstorm& d, Process&) {
+    SegmentOptions opts;
+    opts.obj_bytes = obj_bytes;
+    opts.queue_depth = depth;
+    opts.graph = AllToAllGraph(n);
+    const SegmentId seg = d.CreateSegment(opts);
+    const MetricRegistry& metrics = cluster.fabric.telemetry().rank(rank).metrics;
+    const auto copied = [&] { return metrics.CounterValue("dstorm.gather_bytes_copied"); };
+    const auto consumed = [&] { return metrics.CounterValue("dstorm.gather_bytes_consumed"); };
+    std::vector<std::byte> payload(obj_bytes);
+    // Rounds 1..depth fill every slot; round depth+1 overwrites the oldest.
+    for (uint32_t iter = 1; iter <= depth + 1; ++iter) {
+      std::memset(payload.data(), static_cast<int>(iter), payload.size());
+      ASSERT_TRUE(d.Scatter(seg, payload, iter).ok());
+      ASSERT_TRUE(d.Flush().ok());
+      ASSERT_TRUE(d.Barrier().ok());
+      const int64_t copied_before = copied();
+      const int64_t consumed_before = consumed();
+      ASSERT_EQ(d.Gather(seg, [](const RecvObject&) {}), n - 1);
+      fresh_copied[static_cast<size_t>(rank)] = copied() - copied_before;
+      fresh_consumed[static_cast<size_t>(rank)] = consumed() - consumed_before;
+    }
+    const int64_t copied_before = copied();
+    idle_objects[static_cast<size_t>(rank)] = d.Gather(seg, [](const RecvObject&) {});
+    idle_copied[static_cast<size_t>(rank)] = copied() - copied_before;
+  });
+
+  const int64_t one_per_sender = (n - 1) * static_cast<int64_t>(obj_bytes);
+  for (int rank = 0; rank < n; ++rank) {
+    const size_t r = static_cast<size_t>(rank);
+    EXPECT_EQ(fresh_copied[r], one_per_sender) << "rank " << rank;
+    EXPECT_EQ(fresh_consumed[r], one_per_sender) << "rank " << rank;
+    EXPECT_EQ(idle_objects[r], 0) << "rank " << rank;
+    EXPECT_EQ(idle_copied[r], 0) << "rank " << rank;
+  }
+}
+
 TEST(Dstorm, BarrierSynchronizesClocks) {
   const int n = 3;
   DstormCluster cluster(n);

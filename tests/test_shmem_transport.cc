@@ -1,6 +1,7 @@
 // ShmemTransport tests: one-sided writes land as real memcpys with inline
 // completions, dead peers produce error completions, bad handles produce
-// kInvalidRkey, float-add accumulators survive concurrent posters, striped
+// kInvalidRkey, the fixed-capacity region table rejects overflow and is torn
+// down by MarkDead, float-add accumulators survive concurrent posters, striped
 // seqlock guards detect torn reads under a racing writer, and TrafficStats
 // aggregates across the matrix. Threaded cases run clean under TSan
 // (tools/check.sh MALT_SANITIZE=thread stage).
@@ -77,12 +78,72 @@ TEST(ShmemTransport, OutOfBoundsWriteCompletesInvalidRkey) {
 TEST(ShmemTransport, DeregisteredRegionRejectsWrites) {
   ShmemTransport t(2);
   const MrHandle mr = t.RegisterMemory(1, 16);
+  EXPECT_TRUE(t.Registered(mr));
   t.DeregisterMemory(mr);
+  EXPECT_FALSE(t.Registered(mr));
   const uint32_t v = 3;
   ASSERT_TRUE(t.PostWrite(0, t.now(), mr, 0, AsBytes(&v, sizeof(v))).ok());
   Completion c[1];
   ASSERT_EQ(t.PollCq(0, c), 1);
   EXPECT_EQ(c[0].status, WcStatus::kInvalidRkey);
+}
+
+// The region table holds kMaxRegionsPerNode regions per node; one more is a
+// fatal check on that node, not a silent overwrite of another region.
+TEST(ShmemTransportDeathTest, RegisterPastCapacityIsFatal) {
+  ShmemTransport t(2);
+  for (uint32_t i = 0; i < ShmemTransport::kMaxRegionsPerNode; ++i) {
+    EXPECT_EQ(t.RegisterMemory(1, 8).rkey, i);
+  }
+  EXPECT_TRUE(t.Registered(MrHandle{1, ShmemTransport::kMaxRegionsPerNode - 1}));
+  EXPECT_EQ(t.RegisterMemory(0, 8).rkey, 0u);  // the other node's table is separate
+  EXPECT_DEATH((void)t.RegisterMemory(1, 8), "node 1 registers more than 64 regions");
+}
+
+// Handles that name no published region — an rkey never registered, one
+// past the table's capacity, or far past it — complete kInvalidRkey for
+// both write kinds, and a local Read through one stays a fatal check.
+TEST(ShmemTransport, UnpublishedRkeyCompletesInvalidRkey) {
+  ShmemTransport t(2);
+  (void)t.RegisterMemory(1, 16);  // rkey 0; rkey 1 is never registered
+  const uint32_t max = ShmemTransport::kMaxRegionsPerNode;
+  const uint64_t v = 5;
+  const float f = 1.0f;
+  for (const uint32_t rkey : {1u, max, max + 1, ~0u}) {
+    const MrHandle mr{1, rkey};
+    EXPECT_FALSE(t.Registered(mr)) << "rkey " << rkey;
+    ASSERT_TRUE(t.PostWrite(0, t.now(), mr, 0, AsBytes(&v, sizeof(v))).ok());
+    ASSERT_TRUE(t.PostFloatAdd(0, t.now(), mr, 0, std::span<const float>(&f, 1)).ok());
+    Completion c[2];
+    ASSERT_EQ(t.PollCq(0, c), 2) << "rkey " << rkey;
+    EXPECT_EQ(c[0].status, WcStatus::kInvalidRkey) << "rkey " << rkey;
+    EXPECT_EQ(c[1].status, WcStatus::kInvalidRkey) << "rkey " << rkey;
+  }
+  EXPECT_TRUE(t.Registered(MrHandle{1, 0}));
+  std::byte out[8];
+  EXPECT_DEATH((void)t.Read(MrHandle{1, 1}, 0, out), "read through invalid handle");
+  EXPECT_DEATH((void)t.Read(MrHandle{1, max}, 0, out), "read through invalid handle");
+}
+
+// MarkDead tears down every region of the dead node, however many there
+// are, and none of a live node's.
+TEST(ShmemTransport, MarkDeadDeregistersEveryRegionOfTheNode) {
+  ShmemTransport t(2);
+  std::vector<MrHandle> dead;
+  for (int i = 0; i < 5; ++i) {
+    dead.push_back(t.RegisterMemory(1, 16, i % 2 == 0 ? 0 : 8));
+  }
+  const MrHandle live = t.RegisterMemory(0, 16);
+  t.MarkDead(1);
+  for (const MrHandle& mr : dead) {
+    EXPECT_FALSE(t.Registered(mr)) << "rkey " << mr.rkey;
+  }
+  EXPECT_TRUE(t.Registered(live));
+  const uint64_t v = 9;
+  ASSERT_TRUE(t.PostWrite(1, t.now(), live, 0, AsBytes(&v, sizeof(v))).ok());
+  Completion c[1];
+  ASSERT_EQ(t.PollCq(1, c), 1);
+  EXPECT_EQ(c[0].status, WcStatus::kSuccess);
 }
 
 TEST(ShmemTransport, ConcurrentFloatAddsNeverLoseUpdates) {

@@ -58,6 +58,7 @@ constexpr MutationName kMutations[] = {
     {"seqlock_skip_parity_bump", McMutation::kSeqlockSkipParityBump},
     {"ring_relaxed_publish", McMutation::kRingRelaxedPublish},
     {"shmem_publish_fence_dropped", McMutation::kShmemPublishFenceDropped},
+    {"region_relaxed_publish", McMutation::kRegionRelaxedPublish},
 };
 
 bool ParseMutation(const std::string& s, McMutation* out) {
@@ -154,6 +155,7 @@ int SelfTest() {
       {"seqlock_skip_parity_bump", "seqlock_1w1r"},
       {"ring_relaxed_publish", "ring_1p1c"},
       {"shmem_publish_fence_dropped", "shmem_publish"},
+      {"region_relaxed_publish", "shmem_region_publish"},
   };
   int failures = 0;
 
