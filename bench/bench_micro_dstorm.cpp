@@ -52,7 +52,7 @@ void BM_DstormRound(benchmark::State& state) {
     Fabric fabric(engine, nodes, FabricOptions{});
     DstormDomain domain(fabric, nodes);
     for (int rank = 0; rank < nodes; ++rank) {
-      engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
+      engine.AddProcess(std::string("r").append(std::to_string(rank)), [&, rank](Process& p) {
         Dstorm& d = domain.node(rank);
         d.Bind(p);
         SegmentOptions opts;
@@ -86,7 +86,7 @@ void BM_SparseEncodeScatter(benchmark::State& state) {
     Fabric fabric(engine, 2, FabricOptions{});
     DstormDomain domain(fabric, 2);
     for (int rank = 0; rank < 2; ++rank) {
-      engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
+      engine.AddProcess(std::string("r").append(std::to_string(rank)), [&, rank](Process& p) {
         Dstorm& d = domain.node(rank);
         d.Bind(p);
         MaltVectorOptions opts;
@@ -123,7 +123,7 @@ void BM_EngineContextSwitch(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     for (int rank = 0; rank < nodes; ++rank) {
-      engine.AddProcess("r" + std::to_string(rank), [](Process& p) {
+      engine.AddProcess(std::string("r").append(std::to_string(rank)), [](Process& p) {
         for (int i = 0; i < 100; ++i) {
           p.Advance(10);
         }

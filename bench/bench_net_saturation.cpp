@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
   engine.Run();
 
   const double seconds = malt::ToSeconds(finish[0]);
-  const double bytes_per_node =
-      static_cast<double>(fabric.stats().TxBytes(0));
+  const double bytes_per_node = static_cast<double>(
+      fabric.telemetry().rank(0).metrics.CounterValue("fabric.bytes_sent"));
   const double gbps = bytes_per_node * 8.0 / seconds / 1e9;
   std::printf("# nodes=%d object=%zuMB rounds=%d fanout=%d\n", nodes, obj_mb, rounds, nodes - 1);
   std::printf("per-node sent %.1f MB in %.4fs virtual => %.1f Gb/s (%.2f GB/s)\n",

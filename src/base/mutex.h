@@ -7,15 +7,13 @@
 // compiler-checked under clang (-Werror=thread-safety, the MALT_THREAD_SAFETY
 // cmake option) and zero-cost documentation under gcc.
 //
-// Scoped holders (MutexLock, SpinLockHolder, ReaderMutexLock, ...) are the
-// way to take a lock.
+// Scoped holders (MutexLock, SpinLockHolder) are the way to take a lock.
 
 #ifndef SRC_BASE_MUTEX_H_
 #define SRC_BASE_MUTEX_H_
 
 #include <atomic>
 #include <mutex>
-#include <shared_mutex>
 
 #include "src/base/mc.h"
 #include "src/base/thread_annotations.h"
@@ -40,23 +38,6 @@ class MALT_CAPABILITY("mutex") Mutex {
 
  private:
   std::mutex mu_;
-};
-
-// Reader/writer mutex.
-class MALT_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() MALT_ACQUIRE() { mu_.lock(); }
-  void unlock() MALT_RELEASE() { mu_.unlock(); }
-  void lock_shared() MALT_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() MALT_RELEASE_SHARED() { mu_.unlock_shared(); }
-  void AssertHeld() const MALT_ASSERT_CAPABILITY(this) {}
-
- private:
-  std::shared_mutex mu_;
 };
 
 // Tiny test-and-set spinlock. The shmem hot path takes this several times per
@@ -110,32 +91,6 @@ class MALT_SCOPED_CAPABILITY SpinLockHolder {
 
  private:
   SpinLock& mu_;
-};
-
-class MALT_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) MALT_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  ~WriterMutexLock() MALT_RELEASE() { mu_.unlock(); }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-class MALT_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) MALT_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  // Generic release: the analysis pairs a shared acquire with any release
-  // kind in the destructor of a scoped capability.
-  ~ReaderMutexLock() MALT_RELEASE_GENERIC() { mu_.unlock_shared(); }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 }  // namespace malt

@@ -12,7 +12,6 @@
 //   - Fields:     int x_ MALT_GUARDED_BY(mu_);
 //   - Pointees:   Node* head_ MALT_PT_GUARDED_BY(mu_);
 //   - Functions:  void FooLocked() MALT_REQUIRES(mu_);
-//                 void ReadSide() const MALT_REQUIRES_SHARED(mu_);
 //   - Striped locks: the capability expression may be a function call that
 //     returns the mutex, e.g. MALT_REQUIRES(StripeFor(node, rkey, queue));
 //     the call-site arguments must match the lock-site expression textually.
@@ -42,16 +41,11 @@
 
 // Function annotations: preconditions on held capabilities.
 #define MALT_REQUIRES(...) MALT_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-#define MALT_REQUIRES_SHARED(...) \
-  MALT_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 #define MALT_EXCLUDES(...) MALT_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 
 // Function annotations: capability state transitions.
 #define MALT_ACQUIRE(...) MALT_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define MALT_ACQUIRE_SHARED(...) MALT_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 #define MALT_RELEASE(...) MALT_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define MALT_RELEASE_SHARED(...) MALT_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-#define MALT_RELEASE_GENERIC(...) MALT_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
 #define MALT_TRY_ACQUIRE(...) MALT_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
 
 // Assertion: tells the analysis the capability IS held here (runtime fact the

@@ -90,7 +90,7 @@ void EncodeSlotImage(std::span<std::byte> slot, uint64_t seq, uint32_t iter,
 ProtocolChecker::ProtocolChecker(CheckLevel level, int world)
     : level_(level),
       world_(world),
-      shadows_(static_cast<size_t>(world)),
+      shadows_(world),
       entered_round_(static_cast<size_t>(world), 0),
       exited_round_(static_cast<size_t>(world), 0),
       finished_(static_cast<size_t>(world), false),
@@ -158,26 +158,11 @@ Mutex& ProtocolChecker::StripeFor(int node, uint32_t rkey, size_t queue) const {
   return ledger_mu_[h % kLedgerStripes];
 }
 
-ProtocolChecker::ShadowSegment* ProtocolChecker::FindSegmentLocked(int node,
-                                                                   uint32_t rkey) const {
-  if (node < 0 || node >= world_) {
-    return nullptr;
-  }
-  const auto& per_node = shadows_[static_cast<size_t>(node)];
-  if (rkey >= per_node.size()) {
-    return nullptr;
-  }
-  return per_node[rkey].get();
-}
-
-ProtocolChecker::ShadowSegment* ProtocolChecker::FindSegmentByIdLocked(int node,
-                                                                       int segment) const {
-  if (node < 0 || node >= world_) {
-    return nullptr;
-  }
-  for (const auto& shadow : shadows_[static_cast<size_t>(node)]) {
+ProtocolChecker::ShadowSegment* ProtocolChecker::FindSegmentById(int node, int segment) const {
+  for (uint32_t rkey = 0; rkey < kMaxRegionsPerNode; ++rkey) {
+    ShadowSegment* shadow = shadows_.Find(node, rkey);
     if (shadow != nullptr && shadow->segment == segment) {
-      return shadow.get();
+      return shadow;
     }
   }
   return nullptr;
@@ -190,18 +175,13 @@ void ProtocolChecker::OnSegmentCreate(int node, uint32_t rkey, int segment,
   }
   MALT_CHECK(node >= 0 && node < world_) << "bad node " << node;
   MALT_CHECK(layout.slot_stride > 0 && layout.queue_depth > 0) << "degenerate segment layout";
-  WriterMutexLock lock(reg_mu_);
-  auto& per_node = shadows_[static_cast<size_t>(node)];
-  if (per_node.size() <= rkey) {
-    per_node.resize(static_cast<size_t>(rkey) + 1);
-  }
   auto shadow = std::make_unique<ShadowSegment>();
   shadow->segment = segment;
   shadow->rkey = rkey;
   shadow->queues.resize(layout.senders.size());
   shadow->slots.resize(layout.senders.size() * static_cast<size_t>(layout.queue_depth));
   shadow->layout = std::move(layout);
-  per_node[rkey] = std::move(shadow);
+  shadows_.Publish(node, rkey, std::move(shadow));
 }
 
 void ProtocolChecker::CommitWrite([[maybe_unused]] int node, [[maybe_unused]] uint32_t rkey,
@@ -224,8 +204,7 @@ void ProtocolChecker::OnRemoteWriteApply(int src, int dst, uint32_t rkey, size_t
   if (!enabled()) {
     return;
   }
-  ReaderMutexLock reg_lock(reg_mu_);
-  ShadowSegment* seg = FindSegmentLocked(dst, rkey);
+  ShadowSegment* seg = shadows_.Find(dst, rkey);
   if (seg == nullptr) {
     return;  // barrier counters, probe scratch, accumulators: not slot-structured
   }
@@ -490,8 +469,7 @@ void ProtocolChecker::OnSlotRead(int reader, uint32_t rkey, int queue_pos, int s
   if (!enabled()) {
     return;
   }
-  ReaderMutexLock reg_lock(reg_mu_);
-  ShadowSegment* seg = FindSegmentLocked(reader, rkey);
+  ShadowSegment* seg = shadows_.Find(reader, rkey);
   if (seg == nullptr) {
     return;
   }
@@ -680,8 +658,7 @@ void ProtocolChecker::OnSspProceed(int rank, int segment, uint32_t iter,
   if (!enabled() || ssp_bound_ < 0) {
     return;
   }
-  ReaderMutexLock reg_lock(reg_mu_);
-  ShadowSegment* seg = FindSegmentByIdLocked(rank, segment);
+  ShadowSegment* seg = FindSegmentById(rank, segment);
   if (seg == nullptr) {
     return;
   }

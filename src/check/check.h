@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "src/base/mutex.h"
+#include "src/base/region_table.h"
 #include "src/base/status.h"
 #include "src/base/thread_annotations.h"
 #include "src/base/time_units.h"
@@ -340,10 +341,8 @@ class ProtocolChecker {
 
   Mutex& StripeFor(int node, uint32_t rkey, size_t queue) const;
 
-  // Callers hold reg_mu_ (shared).
-  ShadowSegment* FindSegmentLocked(int node, uint32_t rkey) const MALT_REQUIRES_SHARED(reg_mu_);
-  ShadowSegment* FindSegmentByIdLocked(int node, int segment) const
-      MALT_REQUIRES_SHARED(reg_mu_);
+  // The shadow of `node`'s segment with dstorm id `segment`, or null.
+  ShadowSegment* FindSegmentById(int node, int segment) const;
   // Callers hold the queue's stripe mutex. The (node, rkey, queue) stripe key
   // is threaded through explicitly so the REQUIRES expression names the same
   // StripeFor(...) call the lock site used — that textual match is how the
@@ -373,14 +372,11 @@ class ProtocolChecker {
   };
   std::vector<RankCounters> rank_counters_;
 
-  // Registration (rare, before traffic) vs lookup (hot): a reader/writer
-  // lock keeps lookups concurrent. ShadowSegments are held by unique_ptr so
-  // pointers stay stable across registrations. Per-slot/queue ledger state
-  // reached through a ShadowSegment* is guarded by the queue's stripe (the
-  // REQUIRES annotations above), not by reg_mu_.
-  mutable SharedMutex reg_mu_;
-  // [node][rkey] -> shadow (null for unregistered rkeys).
-  std::vector<std::vector<std::unique_ptr<ShadowSegment>>> shadows_ MALT_GUARDED_BY(reg_mu_);
+  // [node][rkey] -> shadow, published once at registration and looked up
+  // lock-free (src/base/region_table.h); null for unregistered rkeys.
+  // Per-slot/queue ledger state reached through a ShadowSegment* is guarded
+  // by the queue's stripe (the REQUIRES annotations above).
+  RegionTable<ShadowSegment> shadows_;
 
   mutable std::array<Mutex, kLedgerStripes> ledger_mu_;
 

@@ -22,20 +22,4 @@ std::string ToString(TransportKind kind) {
   return "?";
 }
 
-int64_t TrafficStats::TotalBytes() const {
-  int64_t total = 0;
-  for (const std::atomic<int64_t>& b : tx_bytes_) {
-    total += b.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-int64_t TrafficStats::TotalMessages() const {
-  int64_t total = 0;
-  for (const std::atomic<int64_t>& m : tx_msgs_) {
-    total += m.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 }  // namespace malt

@@ -19,13 +19,11 @@
 #ifndef SRC_COMM_TRANSPORT_H_
 #define SRC_COMM_TRANSPORT_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "src/base/status.h"
 #include "src/base/time_units.h"
@@ -75,42 +73,6 @@ struct WireTrace {
   bool enabled() const { return flow_id != 0; }
 };
 
-// Per-(src,dst) and per-node byte/message accounting — regenerates Fig. 13.
-// Cells are relaxed atomics: under the shmem transport a sender's thread
-// bumps the receiver's rx counter concurrently with other senders.
-class TrafficStats {
- public:
-  explicit TrafficStats(int n)
-      : tx_bytes_(static_cast<size_t>(n)),
-        rx_bytes_(static_cast<size_t>(n)),
-        tx_msgs_(static_cast<size_t>(n)) {}
-
-  void Record(int src, int dst, size_t bytes) {
-    tx_bytes_[static_cast<size_t>(src)].fetch_add(static_cast<int64_t>(bytes),
-                                                  std::memory_order_relaxed);
-    rx_bytes_[static_cast<size_t>(dst)].fetch_add(static_cast<int64_t>(bytes),
-                                                  std::memory_order_relaxed);
-    tx_msgs_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
-  }
-
-  int64_t TxBytes(int node) const {
-    return tx_bytes_[static_cast<size_t>(node)].load(std::memory_order_relaxed);
-  }
-  int64_t RxBytes(int node) const {
-    return rx_bytes_[static_cast<size_t>(node)].load(std::memory_order_relaxed);
-  }
-  int64_t TxMessages(int node) const {
-    return tx_msgs_[static_cast<size_t>(node)].load(std::memory_order_relaxed);
-  }
-  int64_t TotalBytes() const;
-  int64_t TotalMessages() const;
-
- private:
-  std::vector<std::atomic<int64_t>> tx_bytes_;
-  std::vector<std::atomic<int64_t>> rx_bytes_;
-  std::vector<std::atomic<int64_t>> tx_msgs_;
-};
-
 // The one-sided-write subset of verbs that dstorm needs. All `node` / `src`
 // arguments are ranks in [0, nodes()).
 class Transport {
@@ -126,8 +88,6 @@ class Transport {
 
   virtual TelemetryDomain& telemetry() = 0;
   virtual ProtocolChecker& checker() = 0;
-  virtual TrafficStats& stats() = 0;
-  virtual const TrafficStats& stats() const = 0;
 
   // Registers `bytes` of transport-owned memory on `node`; the region is
   // remotely writable by any peer holding the handle. `guard_stripe_bytes`

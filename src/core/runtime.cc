@@ -199,10 +199,6 @@ MaltVector Worker::CreateVectorWithGraph(const std::string& name, size_t dim, co
   return MaltVector(*dstorm_, std::move(opts));
 }
 
-GradientAccumulator Worker::CreateAccumulator(const std::string& name, size_t dim) {
-  return GradientAccumulator(*dstorm_, name, dim, malt_->dataflow());
-}
-
 Status Worker::Barrier() {
   const SimTime t0 = ctx_->Now();
   Status status = dstorm_->Barrier(options().barrier_timeout);
@@ -450,6 +446,17 @@ Engine& Malt::engine() {
 Fabric& Malt::fabric() {
   MALT_CHECK(fabric_ != nullptr) << "Malt::fabric() is sim-transport only";
   return *fabric_;
+}
+
+TrafficTotals Malt::traffic() const {
+  TrafficTotals totals;
+  for (int rank = 0; rank < telemetry_.ranks(); ++rank) {
+    const MetricRegistry& reg = telemetry_.rank(rank).metrics;
+    totals.bytes += reg.CounterValue("fabric.bytes_sent");
+    totals.messages +=
+        reg.CounterValue("fabric.writes_posted") + reg.CounterValue("fabric.float_adds_posted");
+  }
+  return totals;
 }
 
 void Malt::ScheduleKill(int rank, double at_seconds) {

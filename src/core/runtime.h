@@ -31,7 +31,6 @@
 #include "src/simnet/fabric.h"
 #include "src/telemetry/flightrec.h"
 #include "src/telemetry/health.h"
-#include "src/vol/accumulator.h"
 #include "src/vol/malt_vector.h"
 
 namespace malt {
@@ -96,10 +95,6 @@ class Worker {
   MaltVector CreateVectorWithGraph(const std::string& name, size_t dim, const Graph& graph,
                                    Layout layout = Layout::kDense, size_t max_nnz = 0);
 
-  // Creates a NIC-aggregated gradient accumulator over the run's dataflow
-  // (the paper's fetch_and_add future work; see src/vol/accumulator.h).
-  GradientAccumulator CreateAccumulator(const std::string& name, size_t dim);
-
   // Fault-aware barrier: on timeout, runs a health check, removes dead peers
   // and re-arms. Returns a non-OK status only on unrecoverable errors.
   [[nodiscard]] Status Barrier();
@@ -161,6 +156,15 @@ class Worker {
   std::vector<int64_t> wait_on_ns_;
 };
 
+// Cluster-wide one-sided traffic: payload bytes and posts (writes plus
+// accumulating adds) over all ranks. Regenerates Fig. 13.
+struct TrafficTotals {
+  int64_t bytes = 0;
+  int64_t messages = 0;
+  int64_t TotalBytes() const { return bytes; }
+  int64_t TotalMessages() const { return messages; }
+};
+
 class Malt {
  public:
   explicit Malt(MaltOptions options);
@@ -172,7 +176,9 @@ class Malt {
   // Sim-backend internals; abort if the run uses another transport.
   Engine& engine();
   Fabric& fabric();
-  const TrafficStats& traffic() const { return transport_->stats(); }
+  // One-sided traffic of the whole run so far, summed over every rank's
+  // fabric.* counters (both transports account each post there).
+  TrafficTotals traffic() const;
 
   // Cluster telemetry: every layer of every rank (fabric, dstorm, fault,
   // VOL, worker) records into this domain. With TelemetryOptions::out_path

@@ -108,12 +108,14 @@ Process& Dstorm::process() const {
 }
 
 Dstorm::Segment& Dstorm::GetSegment(SegmentId seg) {
-  MutexLock lock(domain_->mu_);
+  MALT_CHECK(seg >= 0 && static_cast<size_t>(seg) < segments_.size())
+      << "segment " << seg << " not created on rank " << rank_;
   return segments_[static_cast<size_t>(seg)];
 }
 
 const Dstorm::Segment& Dstorm::GetSegment(SegmentId seg) const {
-  MutexLock lock(domain_->mu_);
+  MALT_CHECK(seg >= 0 && static_cast<size_t>(seg) < segments_.size())
+      << "segment " << seg << " not created on rank " << rank_;
   return segments_[static_cast<size_t>(seg)];
 }
 
@@ -133,122 +135,102 @@ size_t Dstorm::SlotOffset(const Segment& s, int sender_pos, int slot) const {
          s.slot_stride;
 }
 
-SegmentId Dstorm::CreateSegment(const SegmentOptions& options) {
-  MALT_CHECK(options.obj_bytes > 0) << "segment object size must be positive";
-  MALT_CHECK(options.queue_depth >= 1) << "queue depth must be >= 1";
-  MALT_CHECK(options.graph.size() == world_)
-      << "dataflow graph size " << options.graph.size() << " != world " << world_;
-
-  // Segment ids are assigned by per-node call order; the collective contract
-  // is that every node creates the same segments in the same order. (The id
-  // cannot come from segments_.size(): the first creator materializes the
-  // segment on every node, so peers' lists grow before their own call.)
-  const SegmentId seg_id = created_count_++;
-  const size_t stride = AlignUp8(kPayloadOff + options.obj_bytes + sizeof(uint64_t));
-
-  // Collective registry: the first caller defines the spec and registers the
-  // receive region on *every* node (the paper's synchronous segment
-  // creation), so remote-key layout is identical cluster-wide. The domain
-  // mutex serializes racing creators under the shmem transport; a later
-  // caller's lock acquisition orders the first creator's appends before its
-  // own data-plane use.
-  MutexLock lock(domain_->mu_);
-  if (static_cast<size_t>(seg_id) >= domain_->specs_.size()) {
-    DstormDomain::SegmentSpec spec;
-    spec.options = options;
-    domain_->specs_.push_back(spec);
-    for (int node = 0; node < world_; ++node) {
+void DstormDomain::Register(int rank, SegmentId seg_id, const SegmentSpec& spec,
+                            const Graph& graph) {
+  MutexLock lock(mu_);
+  if (static_cast<size_t>(seg_id) < specs_.size()) {
+    const SegmentSpec& first = specs_[static_cast<size_t>(seg_id)];
+    MALT_CHECK(first.accumulator == spec.accumulator && first.obj_bytes == spec.obj_bytes &&
+               first.queue_depth == spec.queue_depth)
+        << "collective segment " << seg_id << " created with mismatched "
+        << (first.accumulator == spec.accumulator ? "options" : "kind (queue vs accumulator)")
+        << " on rank " << rank;
+    return;
+  }
+  specs_.push_back(spec);
+  ProtocolChecker& checker = transport_.checker();
+  for (int node = 0; node < size(); ++node) {
+    MrHandle mr;
+    if (spec.accumulator) {
+      // dim sum floats + 1 contribution-count float. No striped guard:
+      // accumulators are add-only (element-wise atomic adds) until drained.
+      mr = transport_.RegisterMemory(node, spec.obj_bytes + sizeof(float));
+    } else {
       // Receive space: one queue per in-neighbor only (a star topology's
       // leaves keep just one queue instead of world-many). Each slot is its
       // own guard stripe: concurrent senders own disjoint slots, so stripes
       // never see two writers.
-      const size_t in_degree = options.graph.InEdges(node).size();
-      const size_t region_bytes =
-          in_degree * static_cast<size_t>(options.queue_depth) * stride;
-      MrHandle mr = transport_->RegisterMemory(node, region_bytes, stride);
-      MALT_CHECK(mr.rkey == static_cast<uint32_t>(seg_id) + 2)
-          << "segment rkey layout diverged on node " << node;
-      if (!transport_->NodeAlive(node)) {
-        transport_->DeregisterMemory(mr);
-      }
-      Dstorm& peer = *domain_->nodes_[static_cast<size_t>(node)];
-      // Same domain object as the lock above; the analysis cannot see
-      // through the peer's back-pointer, so state the held fact.
-      peer.domain_->mu_.AssertHeld();
-      peer.segments_.push_back(Segment{});
-      Segment& s = peer.segments_.back();
-      s.options = options;
-      s.recv_mr = mr;
-      s.slot_stride = stride;
-      s.sender_pos_at.assign(static_cast<size_t>(world_), -1);
-      for (int dst = 0; dst < world_; ++dst) {
-        const auto& in_edges = options.graph.InEdges(dst);
-        for (size_t pos = 0; pos < in_edges.size(); ++pos) {
-          if (in_edges[pos] == node) {
-            s.sender_pos_at[static_cast<size_t>(dst)] = static_cast<int>(pos);
-            break;
-          }
-        }
-      }
-      s.next_send_seq.assign(static_cast<size_t>(world_), 0);
-      s.next_send_slot.assign(static_cast<size_t>(world_), 0);
-      s.last_consumed.assign(static_cast<size_t>(world_), 0);
-      ProtocolChecker& checker = transport_->checker();
-      if (checker.enabled()) {
-        ProtocolChecker::SegmentLayout layout;
-        layout.slot_stride = stride;
-        layout.obj_bytes = options.obj_bytes;
-        layout.queue_depth = options.queue_depth;
-        layout.senders = options.graph.InEdges(node);
-        checker.OnSegmentCreate(node, mr.rkey, seg_id, std::move(layout));
-      }
+      const size_t in_degree = graph.InEdges(node).size();
+      mr = transport_.RegisterMemory(
+          node, in_degree * static_cast<size_t>(spec.queue_depth) * spec.slot_stride,
+          spec.slot_stride);
     }
-  } else {
-    const DstormDomain::SegmentSpec& spec = domain_->specs_[static_cast<size_t>(seg_id)];
-    MALT_CHECK(spec.options.obj_bytes == options.obj_bytes &&
-               spec.options.queue_depth == options.queue_depth)
-        << "collective CreateSegment called with mismatched options on rank " << rank_;
+    MALT_CHECK(mr.rkey == static_cast<uint32_t>(seg_id) + 2)
+        << "segment rkey layout diverged on node " << node;
+    if (!transport_.NodeAlive(node)) {
+      transport_.DeregisterMemory(mr);
+    }
+    if (!spec.accumulator && checker.enabled()) {
+      ProtocolChecker::SegmentLayout layout;
+      layout.slot_stride = spec.slot_stride;
+      layout.obj_bytes = spec.obj_bytes;
+      layout.queue_depth = spec.queue_depth;
+      layout.senders = graph.InEdges(node);
+      checker.OnSegmentCreate(node, mr.rkey, seg_id, std::move(layout));
+    }
   }
-  ++domain_->specs_[static_cast<size_t>(seg_id)].creators;
+}
+
+SegmentId Dstorm::CreateSegment(const SegmentOptions& options) {
+  MALT_CHECK(options.obj_bytes > 0) << "segment object size must be positive";
+  MALT_CHECK(options.queue_depth >= 1 && options.queue_depth <= kMaxQueueDepth)
+      << "queue depth " << options.queue_depth << " outside [1, " << kMaxQueueDepth << "]";
+  MALT_CHECK(options.graph.size() == world_)
+      << "dataflow graph size " << options.graph.size() << " != world " << world_;
+
+  // Segment ids are assigned by per-node call order; the collective contract
+  // is that every node creates the same segments in the same order.
+  const SegmentId seg_id = static_cast<SegmentId>(segments_.size());
+  DstormDomain::SegmentSpec spec;
+  spec.obj_bytes = options.obj_bytes;
+  spec.queue_depth = options.queue_depth;
+  spec.slot_stride = AlignUp8(kPayloadOff + options.obj_bytes + sizeof(uint64_t));
+  domain_->Register(rank_, seg_id, spec, options.graph);
+
+  Segment s;
+  s.options = options;
+  s.recv_mr = MrHandle{rank_, static_cast<uint32_t>(seg_id) + 2};
+  s.slot_stride = spec.slot_stride;
+  s.sender_pos_at.assign(static_cast<size_t>(world_), -1);
+  for (int dst = 0; dst < world_; ++dst) {
+    const auto& in_edges = options.graph.InEdges(dst);
+    const auto it = std::find(in_edges.begin(), in_edges.end(), rank_);
+    if (it != in_edges.end()) {
+      s.sender_pos_at[static_cast<size_t>(dst)] = static_cast<int>(it - in_edges.begin());
+    }
+  }
+  s.next_send_seq.assign(static_cast<size_t>(world_), 0);
+  s.next_send_slot.assign(static_cast<size_t>(world_), 0);
+  s.last_consumed.assign(static_cast<size_t>(world_), 0);
+  segments_.push_back(std::move(s));
   return seg_id;
 }
 
 SegmentId Dstorm::CreateAccumulator(size_t dim, const Graph& graph) {
   MALT_CHECK(dim > 0) << "accumulator needs dim > 0";
   MALT_CHECK(graph.size() == world_) << "accumulator graph size mismatch";
-  const SegmentId seg_id = created_count_++;
-  // Region: dim sum floats + 1 contribution-count float. No striped guard:
-  // accumulators are add-only (element-wise atomic adds) until drained.
-  const size_t region_bytes = (dim + 1) * sizeof(float);
+  const SegmentId seg_id = static_cast<SegmentId>(segments_.size());
+  DstormDomain::SegmentSpec spec;
+  spec.accumulator = true;
+  spec.obj_bytes = dim * sizeof(float);
+  domain_->Register(rank_, seg_id, spec, graph);
 
-  MutexLock lock(domain_->mu_);
-  if (static_cast<size_t>(seg_id) >= domain_->specs_.size()) {
-    DstormDomain::SegmentSpec spec;
-    spec.options.obj_bytes = dim * sizeof(float);
-    spec.options.graph = graph;
-    domain_->specs_.push_back(spec);
-    for (int node = 0; node < world_; ++node) {
-      MrHandle mr = transport_->RegisterMemory(node, region_bytes);
-      MALT_CHECK(mr.rkey == static_cast<uint32_t>(seg_id) + 2)
-          << "segment rkey layout diverged on node " << node;
-      if (!transport_->NodeAlive(node)) {
-        transport_->DeregisterMemory(mr);
-      }
-      Dstorm& peer = *domain_->nodes_[static_cast<size_t>(node)];
-      peer.domain_->mu_.AssertHeld();  // same domain object as the lock above
-      peer.segments_.push_back(Segment{});
-      Segment& s = peer.segments_.back();
-      s.options.obj_bytes = dim * sizeof(float);
-      s.options.graph = graph;
-      s.accumulator = true;
-      s.recv_mr = mr;
-    }
-  } else {
-    const DstormDomain::SegmentSpec& spec = domain_->specs_[static_cast<size_t>(seg_id)];
-    MALT_CHECK(spec.options.obj_bytes == dim * sizeof(float))
-        << "collective CreateAccumulator called with mismatched dim on rank " << rank_;
-  }
-  ++domain_->specs_[static_cast<size_t>(seg_id)].creators;
+  Segment s;
+  s.options.obj_bytes = spec.obj_bytes;
+  s.options.graph = graph;
+  s.accumulator = true;
+  s.recv_mr = MrHandle{rank_, static_cast<uint32_t>(seg_id) + 2};
+  segments_.push_back(std::move(s));
   return seg_id;
 }
 
@@ -292,9 +274,8 @@ int64_t Dstorm::DrainAccumulator(SegmentId seg, std::span<float> out) {
   return transport_->DrainFloatRegion(s.recv_mr, out);
 }
 
-Status Dstorm::PostObject(SegmentId seg, int dst, std::span<const std::byte> payload,
-                          uint32_t iter) {
-  Segment& s = GetSegment(seg);
+Status Dstorm::PostObject(Segment& s, SegmentId seg, int dst,
+                          std::span<const std::byte> payload, uint32_t iter) {
   if (payload.size() > s.options.obj_bytes) {
     return InvalidArgumentError("payload exceeds segment object size");
   }
@@ -358,12 +339,13 @@ Status Dstorm::Scatter(SegmentId seg, std::span<const std::byte> payload, uint32
 Status Dstorm::ScatterTo(SegmentId seg, std::span<const int> dsts,
                          std::span<const std::byte> payload, uint32_t iter) {
   MALT_CHECK(ctx_ != nullptr) << "Dstorm not bound to an execution context";
+  Segment& s = GetSegment(seg);
   Status first_error;
   for (int dst : dsts) {
     if (!group_member_[static_cast<size_t>(dst)]) {
       continue;
     }
-    Status status = PostObject(seg, dst, payload, iter);
+    Status status = PostObject(s, seg, dst, payload, iter);
     if (!status.ok() && first_error.ok()) {
       first_error = status;
     }
@@ -371,6 +353,43 @@ Status Dstorm::ScatterTo(SegmentId seg, std::span<const int> dsts,
   c_scatters_->Add(1);
   DrainCompletions();
   return first_error;
+}
+
+Dstorm::SlotState Dstorm::ReadSlot(const Segment& s, int pos, int slot, uint64_t consumed,
+                                   std::byte* snap, SlotHeader* header) const {
+  const size_t base_off = SlotOffset(s, pos, slot);
+  std::byte raw[kPayloadOff];
+  if (!transport_->Read(s.recv_mr, base_off, raw)) {
+    return SlotState::kBusy;  // overwrite in flight (shmem); the simulator never fails
+  }
+  header->seq = LoadU64(raw + kSeqFrontOff);
+  header->iter = LoadU32(raw + kIterOff);
+  header->bytes = LoadU32(raw + kBytesOff);
+  if (header->seq == 0 || header->bytes > s.options.obj_bytes) {
+    return SlotState::kEmpty;  // never written, or header mid-write
+  }
+  // Stale before reading on: the header alone decides. On shmem the header
+  // Read was validated by the stripe seqlock, so no newer write had
+  // committed when it was read; on sim the first half of a torn write
+  // already carries the new header, so a slot mid-write never looks stale.
+  if (header->seq <= consumed) {
+    return SlotState::kStale;
+  }
+  std::byte trailer[sizeof(uint64_t)];
+  if (snap != nullptr) {
+    c_gather_bytes_copied_->Add(static_cast<int64_t>(header->bytes));
+    if (!transport_->Read(s.recv_mr, base_off + kPayloadOff,
+                          std::span<std::byte>(snap, header->bytes + sizeof(uint64_t)))) {
+      return SlotState::kBusy;
+    }
+    header->seq_back = LoadU64(snap + header->bytes);
+  } else {
+    if (!transport_->Read(s.recv_mr, base_off + kPayloadOff + header->bytes, trailer)) {
+      return SlotState::kBusy;
+    }
+    header->seq_back = LoadU64(trailer);
+  }
+  return header->seq == header->seq_back ? SlotState::kFresh : SlotState::kTorn;
 }
 
 int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& consume) {
@@ -383,7 +402,6 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
 
   const auto& in_edges = s.options.graph.InEdges(rank_);
   const int depth = s.options.queue_depth;
-  MALT_CHECK(depth <= 16) << "queue depth > 16 unsupported";
   // Snapshot arena: each fresh slot's payload + back stamp is copied out
   // through Transport::Read (torn-read detecting) before consume() ever sees
   // it (a slot whose header is already stale is skipped uncopied), so under
@@ -400,98 +418,80 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
     }
     // Collect fresh consistent slots from this sender, oldest first.
     struct Fresh {
-      uint64_t seq;
       int slot;
-      uint32_t iter;
-      uint32_t bytes;
+      SlotHeader header;
+      const std::byte* snap;
     };
-    Fresh fresh[16];
+    Fresh fresh[kMaxQueueDepth];
     int fresh_count = 0;
     for (int slot = 0; slot < depth; ++slot) {
-      const size_t base_off = SlotOffset(s, static_cast<int>(pos), slot);
-      std::byte header[kPayloadOff];
-      if (!transport_->Read(s.recv_mr, base_off, header)) {
-        c_torn_skipped_->Add(1);
-        continue;  // overwrite in flight (shmem); the simulator never fails
-      }
-      const uint64_t seq_front = LoadU64(header + kSeqFrontOff);
-      const uint32_t bytes = LoadU32(header + kBytesOff);
-      if (seq_front == 0 || bytes > s.options.obj_bytes) {
-        continue;  // never written, or header mid-write
-      }
-      // Stale before copying: the header alone decides. On shmem the header
-      // Read was validated by the stripe seqlock, so no newer write had
-      // committed when it was read; on sim the first half of a torn write
-      // already carries the new header, so a slot mid-write never looks
-      // stale. Either way no back stamp is needed, hence seq_back = seq_front.
-      if (seq_front <= s.last_consumed[static_cast<size_t>(sender)]) {
-        if (checking) {
-          checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, seq_front,
-                             seq_front, LoadU32(header + kIterOff), {},
-                             ProtocolChecker::ReadAction::kSkippedStale, check_now);
-        }
-        continue;  // already folded
-      }
       std::byte* snap = s.gather_arena.data() +
                         (pos * static_cast<size_t>(depth) + static_cast<size_t>(slot)) *
                             arena_stride;
-      c_gather_bytes_copied_->Add(static_cast<int64_t>(bytes));
-      if (!transport_->Read(s.recv_mr, base_off + kPayloadOff,
-                            std::span<std::byte>(snap, bytes + sizeof(uint64_t)))) {
-        c_torn_skipped_->Add(1);
-        continue;
+      SlotHeader header;
+      switch (ReadSlot(s, static_cast<int>(pos), slot,
+                       s.last_consumed[static_cast<size_t>(sender)], snap, &header)) {
+        case SlotState::kEmpty:
+          break;
+        case SlotState::kBusy:
+          c_torn_skipped_->Add(1);
+          break;
+        case SlotState::kStale:
+          // Decided from the header alone, hence seq_back = seq_front.
+          if (checking) {
+            checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, header.seq,
+                               header.seq, header.iter, {},
+                               ProtocolChecker::ReadAction::kSkippedStale, check_now);
+          }
+          break;
+        case SlotState::kTorn:
+          // Torn (write in flight): skip, the paper's atomic gather.
+          c_torn_skipped_->Add(1);
+          if (checking) {
+            checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, header.seq,
+                               header.seq_back, header.iter, {},
+                               ProtocolChecker::ReadAction::kSkippedTorn, check_now);
+          }
+          break;
+        case SlotState::kFresh:
+          fresh[fresh_count++] = Fresh{slot, header, snap};
+          break;
       }
-      const uint64_t seq_back = LoadU64(snap + bytes);
-      if (seq_front != seq_back) {
-        c_torn_skipped_->Add(1);
-        if (checking) {
-          checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, seq_front,
-                             seq_back, LoadU32(header + kIterOff), {},
-                             ProtocolChecker::ReadAction::kSkippedTorn, check_now);
-        }
-        continue;  // torn (write in flight) — skip, the paper's atomic gather
-      }
-      fresh[fresh_count++] = Fresh{seq_front, slot, LoadU32(header + kIterOff), bytes};
     }
     std::sort(fresh, fresh + fresh_count,
-              [](const Fresh& a, const Fresh& b) { return a.seq < b.seq; });
+              [](const Fresh& a, const Fresh& b) { return a.header.seq < b.header.seq; });
     for (int i = 0; i < fresh_count; ++i) {
-      const std::byte* snap =
-          s.gather_arena.data() +
-          (pos * static_cast<size_t>(depth) + static_cast<size_t>(fresh[i].slot)) *
-              arena_stride;
+      const SlotHeader& h = fresh[i].header;
       RecvObject obj;
       obj.sender = sender;
-      obj.iter = fresh[i].iter;
-      obj.bytes = std::span<const std::byte>(snap, fresh[i].bytes);
+      obj.iter = h.iter;
+      obj.bytes = std::span<const std::byte>(fresh[i].snap, h.bytes);
       if (checking) {
-        // Stamps were validated equal in the snapshot above.
-        checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), fresh[i].slot,
-                           fresh[i].seq, fresh[i].seq, fresh[i].iter, obj.bytes,
+        checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), fresh[i].slot, h.seq,
+                           h.seq_back, h.iter, obj.bytes,
                            ProtocolChecker::ReadAction::kConsumed, check_now);
       }
       if (flow_events_) {
         // Close the update's lineage: same flow id the sender computed at
         // post time (src, dst, rkey, wire seq), now landing in the reader's
         // gather span.
-        telemetry_->trace.FlowFinish(
-            kFlowUpdateName, check_now,
-            MakeFlowId(sender, rank_, s.recv_mr.rkey, fresh[i].seq),
-            static_cast<int64_t>(fresh[i].iter));
+        telemetry_->trace.FlowFinish(kFlowUpdateName, check_now,
+                                     MakeFlowId(sender, rank_, s.recv_mr.rkey, h.seq),
+                                     static_cast<int64_t>(h.iter));
       }
       consume(obj);
-      c_gather_bytes_consumed_->Add(static_cast<int64_t>(fresh[i].bytes));
+      c_gather_bytes_consumed_->Add(static_cast<int64_t>(h.bytes));
       const uint64_t previous = s.last_consumed[static_cast<size_t>(sender)];
-      if (fresh[i].seq > previous + 1 && previous != 0) {
-        const int64_t gap = static_cast<int64_t>(fresh[i].seq - previous - 1);
+      if (h.seq > previous + 1 && previous != 0) {
+        const int64_t gap = static_cast<int64_t>(h.seq - previous - 1);
         s.lost_updates += gap;
         c_overwrites_->Add(gap);
-      } else if (previous == 0 && fresh[i].seq > 1 && i == 0) {
-        const int64_t gap = static_cast<int64_t>(fresh[i].seq - 1);
+      } else if (previous == 0 && h.seq > 1 && i == 0) {
+        const int64_t gap = static_cast<int64_t>(h.seq - 1);
         s.lost_updates += gap;
         c_overwrites_->Add(gap);
       }
-      s.last_consumed[static_cast<size_t>(sender)] = fresh[i].seq;
+      s.last_consumed[static_cast<size_t>(sender)] = h.seq;
       ++consumed;
     }
   }
@@ -510,24 +510,12 @@ int64_t Dstorm::PeerIteration(SegmentId seg, int sender) const {
   const int pos = static_cast<int>(it - in_edges.begin());
   int64_t best = -1;
   for (int slot = 0; slot < s.options.queue_depth; ++slot) {
-    const size_t base_off = SlotOffset(s, pos, slot);
-    std::byte header[kPayloadOff];
-    if (!transport_->Read(s.recv_mr, base_off, header)) {
-      continue;  // overwrite in flight; the stamp will be visible next poll
+    // Consumed or not: with a consumed mark of 0 no written slot is stale.
+    // A busy or torn slot's stamp will be visible next poll.
+    SlotHeader header;
+    if (ReadSlot(s, pos, slot, /*consumed=*/0, nullptr, &header) == SlotState::kFresh) {
+      best = std::max(best, static_cast<int64_t>(header.iter));
     }
-    const uint64_t seq_front = LoadU64(header + kSeqFrontOff);
-    const uint32_t bytes = LoadU32(header + kBytesOff);
-    if (seq_front == 0 || bytes > s.options.obj_bytes) {
-      continue;
-    }
-    std::byte trailer[sizeof(uint64_t)];
-    if (!transport_->Read(s.recv_mr, base_off + kPayloadOff + bytes, trailer)) {
-      continue;
-    }
-    if (seq_front != LoadU64(trailer)) {
-      continue;
-    }
-    best = std::max(best, static_cast<int64_t>(LoadU32(header + kIterOff)));
   }
   return best;
 }
@@ -541,22 +529,9 @@ bool Dstorm::FreshAvailable(SegmentId seg) const {
       continue;
     }
     for (int slot = 0; slot < s.options.queue_depth; ++slot) {
-      const size_t base_off = SlotOffset(s, static_cast<int>(pos), slot);
-      std::byte header[kPayloadOff];
-      if (!transport_->Read(s.recv_mr, base_off, header)) {
-        continue;
-      }
-      const uint64_t seq_front = LoadU64(header + kSeqFrontOff);
-      const uint32_t bytes = LoadU32(header + kBytesOff);
-      if (seq_front == 0 || bytes > s.options.obj_bytes) {
-        continue;
-      }
-      std::byte trailer[sizeof(uint64_t)];
-      if (!transport_->Read(s.recv_mr, base_off + kPayloadOff + bytes, trailer)) {
-        continue;
-      }
-      if (seq_front == LoadU64(trailer) &&
-          seq_front > s.last_consumed[static_cast<size_t>(sender)]) {
+      SlotHeader header;
+      if (ReadSlot(s, static_cast<int>(pos), slot, s.last_consumed[static_cast<size_t>(sender)],
+                   nullptr, &header) == SlotState::kFresh) {
         return true;
       }
     }

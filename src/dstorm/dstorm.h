@@ -27,7 +27,6 @@
 #define SRC_DSTORM_DSTORM_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -48,8 +47,10 @@ using SegmentId = int;
 struct SegmentOptions {
   size_t obj_bytes = 0;  // payload capacity per object
   Graph graph;           // dataflow: who pushes to whom
-  int queue_depth = 2;   // receive-queue slots per sender
+  int queue_depth = 2;   // receive-queue slots per sender, 1..kMaxQueueDepth
 };
+
+inline constexpr int kMaxQueueDepth = 16;
 
 // One object received by Gather.
 struct RecvObject {
@@ -113,9 +114,12 @@ class Dstorm {
   Transport& transport() const { return *transport_; }
 
   // Collective: every live node must call with identical options; segments
-  // are numbered by call order. Registers the receive memory on this node.
-  // All segments must be created before data-plane traffic starts (the
-  // paper's synchronous segment creation).
+  // are numbered by call order. The first caller registers the receive
+  // memory on every node, so a peer may scatter into this node's queues
+  // before this node has made the call; each node's own call then builds
+  // its segment state. A node uses a segment only after creating it.
+  // Mismatched options, or a kind (queue vs accumulator) that differs from
+  // the first caller's, are fatal checks.
   SegmentId CreateSegment(const SegmentOptions& options);
 
   // Pushes `payload` (<= obj_bytes) with iteration stamp `iter` to every
@@ -176,8 +180,8 @@ class Dstorm {
   // Creates an accumulator segment: one float array per node into which
   // peers' contributions are *added by the NIC itself* (PostFloatAdd), so
   // folding costs the receiver no CPU at all. Collective, like
-  // CreateSegment. Returns a segment id usable only with ScatterAdd /
-  // DrainAccumulator.
+  // CreateSegment, and numbered in the same sequence. Returns a segment id
+  // usable only with ScatterAdd / DrainAccumulator.
   SegmentId CreateAccumulator(size_t dim, const Graph& graph);
 
   // Adds `values` (exactly `dim` floats) into every live out-neighbor's
@@ -218,6 +222,9 @@ class Dstorm {
   // on each receiver from its position in that receiver's in-edge list —
   // deterministic from the shared dataflow graph, so no remote metadata
   // reads are ever needed.
+  //
+  // Each node builds its own Segment in CreateSegment and only its own
+  // thread ever touches it.
   struct Segment {
     SegmentOptions options;
     bool accumulator = false;               // NIC-aggregated segment (no queues)
@@ -234,18 +241,40 @@ class Dstorm {
     std::vector<std::byte> gather_arena;
   };
 
+  // A slot header as ReadSlot decoded it.
+  struct SlotHeader {
+    uint64_t seq = 0;       // front stamp
+    uint64_t seq_back = 0;  // back stamp (kTorn, kFresh)
+    uint32_t iter = 0;
+    uint32_t bytes = 0;
+  };
+
+  // What ReadSlot found in one receive slot.
+  enum class SlotState : uint8_t {
+    kEmpty,  // never written, or the header claims more than obj_bytes
+    kBusy,   // a guard flagged the read: a write was in flight (shmem only)
+    kStale,  // stamp <= the consumed mark; nothing past the header was read
+    kTorn,   // front and back stamps differ: a write was in flight
+    kFresh,  // consistent and newer than the consumed mark
+  };
+
   Dstorm(DstormDomain* domain, Transport* transport, int rank, int world,
          RankTelemetry* telemetry);
 
-  [[nodiscard]] Status PostObject(SegmentId seg, int dst, std::span<const std::byte> payload, uint32_t iter);
+  [[nodiscard]] Status PostObject(Segment& s, SegmentId seg, int dst,
+                                  std::span<const std::byte> payload, uint32_t iter);
   void DrainCompletions();
   size_t SlotOffset(const Segment& s, int sender_pos, int slot) const;
+  // The one slot reader: reads `slot` of in-edge queue `pos`, header first.
+  // An empty header, or one whose stamp is <= `consumed`, ends the read
+  // there. Otherwise the back stamp is read too: with `snap` set, together
+  // with the payload copied into it (Gather); without, alone (polls).
+  SlotState ReadSlot(const Segment& s, int pos, int slot, uint64_t consumed, std::byte* snap,
+                     SlotHeader* header) const;
   // Blocks until the NIC send queue has room, charging the stall and its
   // duration to the fabric.send_queue_stall* counters.
   void WaitForSendRoom();
-  // Indexes segments_ under the domain mutex: the first collective creator
-  // appends to *every* node's list, possibly from another rank's thread.
-  // Element references stay valid unlocked (deque never relocates).
+  // Bounds-checked index into this node's own segments; no lock.
   Segment& GetSegment(SegmentId seg);
   const Segment& GetSegment(SegmentId seg) const;
 
@@ -283,12 +312,7 @@ class Dstorm {
   Counter* c_send_stalls_ = nullptr;
   Counter* c_send_stall_ns_ = nullptr;
 
-  // deque, not vector: the first creator of a later segment appends to this
-  // list from its own thread while this rank may hold a reference to an
-  // earlier element (see GetSegment). Guarded by the domain mutex; element
-  // references stay valid unlocked (deque never relocates).
-  std::deque<Segment> segments_ MALT_GUARDED_BY(domain_->mu_);
-  int created_count_ = 0;  // segments this node has itself created
+  std::vector<Segment> segments_;  // this node's own, by SegmentId
   std::vector<bool> group_member_;
   int64_t group_epoch_ = 0;
   std::vector<bool> peer_failed_;       // error completion seen, not yet taken
@@ -322,18 +346,26 @@ class DstormDomain {
  private:
   friend class Dstorm;
 
-  // Registry entry for collective creation: first caller defines the
-  // options; later callers must match.
+  // Registry entry for collective creation: the first caller defines the
+  // spec; later callers must match it.
   struct SegmentSpec {
-    SegmentOptions options;
-    int creators = 0;
+    bool accumulator = false;
+    size_t obj_bytes = 0;
+    int queue_depth = 0;     // 0 for an accumulator
+    size_t slot_stride = 0;  // 0 for an accumulator
   };
 
+  // The collective half of creating segment `seg_id` on behalf of `rank`.
+  // The first caller registers the receive region on every node, and the
+  // checker layout for a queue segment, because a peer may write into a
+  // node's region before that node calls CreateSegment. Later callers only
+  // check that their spec matches.
+  void Register(int rank, SegmentId seg_id, const SegmentSpec& spec, const Graph& graph);
+
   Transport& transport_;
-  // Serializes collective segment creation across rank threads (spec
-  // registry, cross-node segments_ appends); also taken (briefly) by
-  // GetSegment.
-  mutable Mutex mu_;
+  // Serializes collective segment creation across rank threads. Taken only
+  // there: the data path never locks.
+  Mutex mu_;
   std::vector<std::unique_ptr<Dstorm>> nodes_;  // fixed at construction
   std::vector<SegmentSpec> specs_ MALT_GUARDED_BY(mu_);
 };

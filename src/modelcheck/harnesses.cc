@@ -11,6 +11,8 @@
 #include "src/base/mutex.h"
 #include "src/base/seqlock.h"
 #include "src/check/check.h"
+#include "src/comm/graph.h"
+#include "src/dstorm/dstorm.h"
 #include "src/shmem/rank_ctx.h"
 #include "src/shmem/shmem_transport.h"
 
@@ -324,93 +326,67 @@ class RankKillHarness : public Harness {
 
 // --- dstorm slot protocol with the ledger as oracle --------------------------
 //
-// The full write path: rank 0 posts two slot images (header | payload |
-// trailer, built by check::EncodeSlotImage) through ShmemTransport::PostWrite
-// into a slot-striped region on rank 1, with a concurrent-mode
-// ProtocolChecker bound to the transport so every apply is ledgered; rank 1
-// polls the slot as Dstorm::Gather does — header Read first (a stale header
-// is reported as kSkippedStale before any copy), then the whole slot with
-// transport Read + check::ParseSlotImage — and reports every stale, torn or
-// consumed snapshot to the checker. The oracle is the checker itself: any
-// torn-read escape, phantom seq, stale-skipped fresh seq or duplicate
-// consume increments violation_count(). Too many sync points for exhaustive
-// DFS — this one is PCT-only.
+// The full write path, through the code that ships: a 2-rank DstormDomain
+// over ShmemTransport with a segment 0 -> 1 of queue depth 1, and a
+// concurrent-mode ProtocolChecker bound to the transport so every apply and
+// every slot read is ledgered. Rank 0 runs Dstorm::Scatter for iterations
+// 1..kIters (each payload filled with its iteration's byte); rank 1 runs
+// Dstorm::Gather until it has consumed iteration kIters, so its slot reads
+// (header first, stale skip, torn detection) are the real reader's. The
+// oracles are the checker — any torn-read escape, phantom seq, stale-skipped
+// fresh seq or duplicate consume increments violation_count() — and a
+// payload check on every consumed object. Too many sync points for
+// exhaustive DFS — this one is PCT-only.
 class DstormSlotHarness : public Harness {
  public:
-  DstormSlotHarness() : checker_(CheckLevel::kFull, /*world=*/2), transport_(MakeTransport()) {
-    mr_ = transport_->RegisterMemory(/*node=*/1, kStride, /*guard_stripe_bytes=*/kStride);
-    ProtocolChecker::SegmentLayout layout;
-    layout.slot_stride = kStride;
-    layout.obj_bytes = kObjBytes;
-    layout.queue_depth = 1;
-    layout.senders = {0};
-    checker_.OnSegmentCreate(/*node=*/1, mr_.rkey, /*segment=*/0, layout);
+  DstormSlotHarness()
+      : checker_(CheckLevel::kFull, /*world=*/2),
+        telemetry_(/*ranks=*/2, QuietTelemetry()),
+        transport_(MakeTransport()),
+        domain_(*transport_, /*nodes=*/2, &telemetry_),
+        ctx0_(/*rank=*/0, transport_->clock()),
+        ctx1_(/*rank=*/1, transport_->clock()) {
+    domain_.node(0).BindCtx(ctx0_);
+    domain_.node(1).BindCtx(ctx1_);
+    SegmentOptions opts;
+    opts.obj_bytes = kObjBytes;
+    opts.graph = Graph(2);
+    opts.graph.AddEdge(0, 1);
+    opts.queue_depth = 1;
+    seg_ = domain_.node(0).CreateSegment(opts);
+    (void)domain_.node(1).CreateSegment(opts);
   }
 
   std::vector<std::function<void()>> Threads() override {
     return {
         [this] {
           for (uint32_t iter = 1; iter <= kIters; ++iter) {
-            std::byte wire[kStride];
             std::byte payload[kObjBytes];
             for (size_t i = 0; i < kObjBytes; ++i) {
               payload[i] = static_cast<std::byte>(iter);
             }
-            // dstorm's stamp discipline: seq advances by one per post and
-            // (seq - 1) % depth names the slot — with depth 1, seq == iter.
-            check::EncodeSlotImage(std::span<std::byte>(wire, kStride),
-                                   /*seq=*/iter, iter,
-                                   std::span<const std::byte>(payload, kObjBytes));
-            const auto r = transport_->PostWrite(/*src=*/0, /*now=*/0, mr_, /*dst_offset=*/0,
-                                                 std::span<const std::byte>(wire, kStride),
-                                                 WireTrace{});
-            if (!r.ok()) {
-              Scheduler::Fail("PostWrite failed: " + r.status().ToString());
+            const Status status = domain_.node(0).Scatter(
+                seg_, std::span<const std::byte>(payload, kObjBytes), iter);
+            if (!status.ok()) {
+              Scheduler::Fail("Scatter failed: " + status.ToString());
             }
           }
         },
         [this] {
-          std::byte snap[kStride];
-          uint32_t consumed = 0;
-          while (consumed < kIters) {
-            // Header first, as Dstorm::Gather does: a stale header is
-            // reported and skipped before the slot is copied.
-            if (!transport_->Read(mr_, 0, std::span<std::byte>(snap, check::kPayloadOff))) {
-              MALT_MC_SPIN_YIELD();  // write in flight on the stripe
-              continue;
+          uint32_t newest = 0;
+          while (newest < kIters) {
+            const int got = domain_.node(1).Gather(seg_, [&](const RecvObject& obj) {
+              for (std::byte b : obj.bytes) {
+                if (b != static_cast<std::byte>(obj.iter)) {
+                  Scheduler::Fail("gathered iter " + std::to_string(obj.iter) +
+                                  " carries a byte of another iteration");
+                }
+              }
+              newest = obj.iter;
+            });
+            if (got == 0) {
+              MALT_MC_SPIN_YIELD();  // nothing fresh: wait for the sender
             }
-            uint64_t seq_front = 0;
-            uint32_t iter = 0;
-            std::memcpy(&seq_front, snap, sizeof(seq_front));
-            std::memcpy(&iter, snap + sizeof(seq_front), sizeof(iter));
-            if (seq_front == 0) {
-              MALT_MC_SPIN_YIELD();  // never written
-              continue;
-            }
-            if (seq_front <= consumed) {
-              checker_.OnSlotRead(/*reader=*/1, mr_.rkey, /*queue_pos=*/0, /*slot=*/0,
-                                  seq_front, seq_front, iter, {},
-                                  ProtocolChecker::ReadAction::kSkippedStale, /*now=*/0);
-              MALT_MC_SPIN_YIELD();  // stale: nothing new since the last gather
-              continue;
-            }
-            if (!transport_->Read(mr_, 0, std::span<std::byte>(snap, kStride))) {
-              MALT_MC_SPIN_YIELD();  // write in flight on the stripe
-              continue;
-            }
-            check::SlotImage img;
-            if (!check::ParseSlotImage(std::span<const std::byte>(snap, kStride), &img) ||
-                img.torn()) {
-              checker_.OnSlotRead(/*reader=*/1, mr_.rkey, /*queue_pos=*/0, /*slot=*/0,
-                                  img.seq_front, img.seq_back, img.iter, {},
-                                  ProtocolChecker::ReadAction::kSkippedTorn, /*now=*/0);
-              MALT_MC_SPIN_YIELD();
-              continue;
-            }
-            checker_.OnSlotRead(/*reader=*/1, mr_.rkey, /*queue_pos=*/0, /*slot=*/0,
-                                img.seq_front, img.seq_back, img.iter, img.payload,
-                                ProtocolChecker::ReadAction::kConsumed, /*now=*/0);
-            consumed = img.iter;
           }
         },
     };
@@ -426,18 +402,29 @@ class DstormSlotHarness : public Harness {
 
  private:
   static constexpr size_t kObjBytes = 16;
-  static constexpr size_t kStride = check::kPayloadOff + kObjBytes + sizeof(uint64_t);
   static constexpr uint32_t kIters = 2;
+
+  // No flow events (their trace rings are not under test) and small rings.
+  static TelemetryOptions QuietTelemetry() {
+    TelemetryOptions options;
+    options.flow_events = false;
+    options.trace_capacity = 64;
+    return options;
+  }
 
   std::unique_ptr<ShmemTransport> MakeTransport() {
     checker_.SetConcurrent(true);
-    return std::make_unique<ShmemTransport>(/*nodes=*/2, ShmemOptions{},
-                                            /*telemetry=*/nullptr, &checker_);
+    return std::make_unique<ShmemTransport>(/*nodes=*/2, ShmemOptions{}, &telemetry_,
+                                            &checker_);
   }
 
   ProtocolChecker checker_;
+  TelemetryDomain telemetry_;
   std::unique_ptr<ShmemTransport> transport_;
-  MrHandle mr_;
+  DstormDomain domain_;
+  ShmemRankCtx ctx0_;
+  ShmemRankCtx ctx1_;
+  SegmentId seg_ = 0;
 };
 
 constexpr uint64_t kOverflowBase = ~uint64_t{1};  // 2^64 - 2: even, one write to wrap
@@ -461,7 +448,7 @@ const std::vector<HarnessInfo> kHarnesses = {
     {"rankctx_kill", "ShmemRankCtx: RequestKill observed from a parked Wait()", 2,
      /*dfs_feasible=*/true, /*expected_steps=*/96},
     {"dstorm_slot_ledger",
-     "Full dstorm slot path: PostWrite vs gather with the protocol ledger as oracle", 2,
+     "Dstorm::Scatter vs Dstorm::Gather over shmem with the protocol ledger as oracle", 2,
      /*dfs_feasible=*/false, /*expected_steps=*/2000},
 };
 

@@ -77,9 +77,7 @@ ShmemTransport::ShmemTransport(int nodes, ShmemOptions options, TelemetryDomain*
       checker_(checker == nullptr ? owned_checker_.get() : checker),
       flow_events_(telemetry_->options().flow_events),
       edges_(static_cast<size_t>(nodes) * static_cast<size_t>(nodes)),
-      stats_(nodes),
-      regions_(std::make_unique<mc::atomic<Region*>[]>(static_cast<size_t>(nodes) *
-                                                        kMaxRegionsPerNode)),
+      regions_(nodes),
       next_wr_id_(static_cast<size_t>(nodes), 1) {
   MALT_CHECK(nodes >= 1) << "shmem transport needs at least one rank";
   MALT_CHECK(telemetry_->ranks() >= nodes) << "telemetry domain smaller than transport";
@@ -106,13 +104,6 @@ ShmemTransport::ShmemTransport(int nodes, ShmemOptions options, TelemetryDomain*
   }
 }
 
-ShmemTransport::~ShmemTransport() {
-  const size_t slots = static_cast<size_t>(nodes_) * kMaxRegionsPerNode;
-  for (size_t i = 0; i < slots; ++i) {
-    delete regions_[i].load(std::memory_order_acquire);
-  }
-}
-
 ShmemTransport::ResolvedEdge ShmemTransport::Edge(int src, int dst) {
   EdgeCells& cell = edges_[static_cast<size_t>(src) * static_cast<size_t>(nodes_) +
                            static_cast<size_t>(dst)];
@@ -132,7 +123,6 @@ ShmemTransport::ResolvedEdge ShmemTransport::Edge(int src, int dst) {
 }
 
 void ShmemTransport::AccountPost(int src, int dst, size_t bytes, bool float_add) {
-  stats_.Record(src, dst, bytes);
   NodeCounters& sc = counters_[static_cast<size_t>(src)];
   (float_add ? sc.float_adds_posted : sc.writes_posted)->Add(1);
   sc.bytes_sent->Add(static_cast<int64_t>(bytes));
@@ -149,17 +139,7 @@ MrHandle ShmemTransport::RegisterMemory(int node, size_t bytes, size_t guard_str
   MALT_CHECK(node >= 0 && node < nodes_) << "bad node " << node;
   const uint32_t rkey =
       next_rkey_[static_cast<size_t>(node)].fetch_add(1, std::memory_order_relaxed);
-  MALT_CHECK(rkey < kMaxRegionsPerNode)
-      << "node " << node << " registers more than " << kMaxRegionsPerNode << " regions";
-  // Release publish: a reader whose acquire load in FindRegion sees the
-  // pointer also sees the constructed Region and every earlier registration
-  // by this thread. Mutation kRegionRelaxedPublish drops the release
-  // ordering, so a later rkey can become visible before an earlier one.
-  auto region = std::make_unique<Region>(bytes, guard_stripe_bytes);
-  regions_[static_cast<size_t>(node) * kMaxRegionsPerNode + rkey].store(
-      region.get(), MALT_MC_MUTATE(kRegionRelaxedPublish) ? std::memory_order_relaxed
-                                                          : std::memory_order_release);
-  region.release();  // the table owns it now; ~ShmemTransport frees it
+  regions_.Publish(node, rkey, std::make_unique<Region>(bytes, guard_stripe_bytes));
   return MrHandle{node, rkey};
 }
 
@@ -170,11 +150,7 @@ void ShmemTransport::DeregisterMemory(MrHandle mr) {
 }
 
 ShmemTransport::Region* ShmemTransport::FindRegion(MrHandle mr) const {
-  if (!mr.valid() || mr.node >= nodes_ || mr.rkey >= kMaxRegionsPerNode) {
-    return nullptr;
-  }
-  return regions_[static_cast<size_t>(mr.node) * kMaxRegionsPerNode + mr.rkey].load(
-      std::memory_order_acquire);
+  return regions_.Find(mr.node, mr.rkey);
 }
 
 bool ShmemTransport::Registered(MrHandle mr) const {

@@ -18,9 +18,9 @@
 //   3. Lock-free completion queues: each rank has a fixed-capacity SPSC ring
 //      of completions. Writes apply inline, so a rank's own post is the only
 //      producer and its own poll the only consumer.
-//   4. A lock-free region table: registration publishes each region into a
-//      fixed per-node slot once, and every post or read resolves its handle
-//      with one acquire load (see kMaxRegionsPerNode).
+//   4. A lock-free region table (src/base/region_table.h): registration
+//      publishes each region into a fixed per-node slot once, and every post
+//      or read resolves its handle with one acquire load.
 //
 // The protocol checker (src/check/check.h) runs here too: when a checker is
 // bound at construction, every one-sided write is bracketed with
@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "src/base/mc.h"
+#include "src/base/region_table.h"
 #include "src/base/seqlock.h"
 #include "src/base/status.h"
 #include "src/base/time_units.h"
@@ -92,18 +93,12 @@ class CompletionRing {
 
 class ShmemTransport : public Transport {
  public:
-  // Capacity of each node's region table. dstorm registers two regions per
-  // node (barrier counters, probe scratch) plus one per segment and one per
-  // accumulator; registering a region past this limit is a fatal check.
-  static constexpr uint32_t kMaxRegionsPerNode = 64;
-
   // `checker` (optional) validates the one-sided write protocol live; it
   // must be in concurrent mode (ProtocolChecker::SetConcurrent) and outlive
   // the transport. Without one, an owned off-level checker answers queries.
   explicit ShmemTransport(int nodes, ShmemOptions options = ShmemOptions{},
                           TelemetryDomain* telemetry = nullptr,
                           ProtocolChecker* checker = nullptr);
-  ~ShmemTransport() override;
 
   TransportKind kind() const override { return TransportKind::kShmem; }
   int nodes() const override { return nodes_; }
@@ -112,8 +107,6 @@ class ShmemTransport : public Transport {
 
   TelemetryDomain& telemetry() override { return *telemetry_; }
   ProtocolChecker& checker() override { return *checker_; }
-  TrafficStats& stats() override { return stats_; }
-  const TrafficStats& stats() const override { return stats_; }
 
   MrHandle RegisterMemory(int node, size_t bytes, size_t guard_stripe_bytes) override;
   using Transport::RegisterMemory;
@@ -218,18 +211,13 @@ class ShmemTransport : public Transport {
   const bool flow_events_;                    // TelemetryOptions::flow_events, cached
   std::vector<NodeCounters> counters_;        // [node]
   std::vector<EdgeCells> edges_;              // [src*nodes+dst], lazily resolved
-  TrafficStats stats_;
 
-  // The region table: kMaxRegionsPerNode slots per node, each an atomic
-  // Region*. Registration (rare: collective segment creation before
-  // training) claims the next rkey with one fetch_add and publishes the new
-  // Region with a release store; every PostWrite/Read resolves its handle
-  // with an acquire load and takes no lock, the way an RDMA NIC resolves an
-  // rkey registered once. A published Region is never moved or freed before
-  // the transport is destroyed (deregistration only clears its `registered`
-  // flag), so a Region* stays valid for the transport's lifetime.
-  std::unique_ptr<mc::atomic<Region*>[]> regions_;  // [node * kMaxRegionsPerNode + rkey]
-  std::deque<mc::atomic<uint32_t>> next_rkey_;      // [node]
+  // Registration claims the next rkey with one fetch_add and publishes the
+  // new Region into the table (kMaxRegionsPerNode per node; one more is a
+  // fatal check). Deregistration only clears its `registered` flag, so a
+  // Region* stays valid for the transport's lifetime.
+  RegionTable<Region> regions_;
+  std::deque<mc::atomic<uint32_t>> next_rkey_;  // [node]
 
   std::deque<CompletionRing> cq_;          // [node]; deque: ring is immovable
   std::vector<uint64_t> next_wr_id_;       // [node]; only node's thread posts

@@ -19,7 +19,6 @@ Fabric::Fabric(Engine& engine, int nodes, FabricOptions options, TelemetryDomain
                          ? std::make_unique<ProtocolChecker>(CheckLevel::kOff, nodes)
                          : nullptr),
       checker_(checker == nullptr ? owned_checker_.get() : checker),
-      stats_(nodes),
       regions_(static_cast<size_t>(nodes)),
       cq_(static_cast<size_t>(nodes)),
       outstanding_(static_cast<size_t>(nodes), 0),
@@ -60,7 +59,6 @@ Fabric::EdgeCells& Fabric::Edge(int src, int dst) {
 }
 
 void Fabric::AccountPost(int src, int dst, size_t bytes, bool float_add) {
-  stats_.Record(src, dst, bytes);
   NodeCounters& sc = counters_[static_cast<size_t>(src)];
   (float_add ? sc.float_adds_posted : sc.writes_posted)->Add(1);
   sc.bytes_sent->Add(static_cast<int64_t>(bytes));

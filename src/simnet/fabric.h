@@ -75,8 +75,6 @@ class Fabric : public Transport {
   int nodes() const override { return nodes_; }
   SimTime now() const override { return engine_.now(); }
   const FabricOptions& options() const { return options_; }
-  TrafficStats& stats() override { return stats_; }
-  const TrafficStats& stats() const override { return stats_; }
   TelemetryDomain& telemetry() override { return *telemetry_; }
   const TelemetryDomain& telemetry() const { return *telemetry_; }
   ProtocolChecker& checker() override { return *checker_; }
@@ -185,7 +183,6 @@ class Fabric : public Transport {
   ProtocolChecker* checker_;
   std::vector<NodeCounters> counters_;  // [node]
   std::vector<EdgeCells> edges_;        // [src*nodes+dst], lazily resolved
-  TrafficStats stats_;
   std::vector<std::vector<std::unique_ptr<Region>>> regions_;  // [node][rkey]
   std::vector<std::deque<Completion>> cq_;                     // [node]
   std::vector<int> outstanding_;                               // [node]

@@ -379,7 +379,7 @@ TEST(CheckIntegration, RogueNoSeqlockWriterCaughtOnRealFabric) {
   int second_gather = -1;
 
   for (int rank = 0; rank < 2; ++rank) {
-    engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
+    engine.AddProcess(std::string("r").append(std::to_string(rank)), [&, rank](Process& p) {
       Dstorm& d = domain.node(rank);
       d.Bind(p);
       SegmentOptions opts;
@@ -445,7 +445,7 @@ TEST(CheckIntegration, TornWriteSimulationIsCleanUnderFullCheck) {
   constexpr size_t kBytes = 4096;
 
   for (int rank = 0; rank < 3; ++rank) {
-    engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
+    engine.AddProcess(std::string("r").append(std::to_string(rank)), [&, rank](Process& p) {
       Dstorm& d = domain.node(rank);
       d.Bind(p);
       SegmentOptions opts;

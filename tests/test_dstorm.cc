@@ -339,7 +339,7 @@ TEST(Dstorm, ScatterSkipsRemovedMembers) {
     ASSERT_TRUE(d.Flush().ok());
   });
   // Node 2 received nothing.
-  EXPECT_EQ(cluster.fabric.stats().RxBytes(2), 0);
+  EXPECT_EQ(cluster.fabric.telemetry().rank(2).metrics.CounterValue("fabric.bytes_received"), 0);
 }
 
 TEST(Dstorm, ProbePeerDetectsDeath) {
@@ -462,6 +462,21 @@ TEST(Dstorm, ScatterToSubset) {
   EXPECT_EQ(gathered[1], 1);
   EXPECT_EQ(gathered[2], 0);
   EXPECT_EQ(gathered[3], 1);
+}
+
+// Gather keeps each sender's fresh slots in a fixed array of 16, so a deeper
+// queue is refused when the segment is created, not at its first Gather.
+TEST(DstormDeathTest, QueueDepthPastSixteenDiesInCreateSegment) {
+  Engine engine;
+  Fabric fabric(engine, 2, FastNet());
+  DstormDomain domain(fabric, 2);
+  SegmentOptions opts;
+  opts.obj_bytes = 8;
+  opts.graph = AllToAllGraph(2);
+  opts.queue_depth = 16;
+  EXPECT_EQ(domain.node(0).CreateSegment(opts), 0);
+  opts.queue_depth = 17;
+  EXPECT_DEATH((void)domain.node(0).CreateSegment(opts), "queue depth 17");
 }
 
 }  // namespace

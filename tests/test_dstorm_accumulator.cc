@@ -170,5 +170,19 @@ TEST(Accumulator, SkipsDeadPeers) {
   EXPECT_DOUBLE_EQ(drained[1], 1.0);
 }
 
+// Queue segments and accumulators share one id sequence, so the kind is part
+// of the collective contract: an accumulator created under an id whose first
+// creator made a queue segment is refused, even when the byte sizes agree.
+TEST(AccumulatorDeathTest, KindMismatchWithPeersQueueSegmentIsRejected) {
+  Engine engine;
+  Fabric fabric(engine, 2, FastNet());
+  DstormDomain domain(fabric, 2);
+  SegmentOptions opts;
+  opts.obj_bytes = 4 * sizeof(float);
+  opts.graph = AllToAllGraph(2);
+  ASSERT_EQ(domain.node(0).CreateSegment(opts), 0);
+  EXPECT_DEATH((void)domain.node(1).CreateAccumulator(4, AllToAllGraph(2)), "mismatched kind");
+}
+
 }  // namespace
 }  // namespace malt

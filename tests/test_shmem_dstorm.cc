@@ -239,5 +239,50 @@ TEST(ShmemDstorm, KilledRankIsDetectedAndRemoved) {
   EXPECT_EQ(survived[2], 1);
 }
 
+// Segment creation is collective but not simultaneous: the first creator
+// registers every node's receive region, so a rank may scatter to a peer
+// that has not called CreateSegment yet. The peer's own CreateSegment then
+// builds its segment state over that region and gathers exactly the object
+// already waiting there.
+TEST(ShmemDstorm, PeerScattersBeforeOwnerCreatesSegment) {
+  ShmemCluster cluster(2);
+  std::atomic<bool> scattered{false};
+  std::vector<RecvObject> got;
+  std::vector<double> values;
+  int second_gather = -1;
+
+  cluster.Run([&](int rank, Dstorm& d, ShmemRankCtx& ctx) {
+    SegmentOptions opts;
+    opts.obj_bytes = sizeof(double);
+    opts.graph = AllToAllGraph(2);
+    if (rank == 0) {
+      const SegmentId seg = d.CreateSegment(opts);
+      const double mine = 7.5;
+      ASSERT_TRUE(d.Scatter(seg, AsBytes(&mine, sizeof(mine)), /*iter=*/3).ok());
+      ASSERT_TRUE(d.Flush().ok());
+      scattered.store(true, std::memory_order_release);
+      return;
+    }
+    ctx.Wait([&] { return scattered.load(std::memory_order_acquire); });
+    const SegmentId seg = d.CreateSegment(opts);
+    EXPECT_TRUE(d.FreshAvailable(seg));
+    EXPECT_EQ(d.PeerIteration(seg, 0), 3);
+    d.Gather(seg, [&](const RecvObject& obj) {
+      got.push_back(obj);
+      double v = 0.0;
+      std::memcpy(&v, obj.bytes.data(), sizeof(v));
+      values.push_back(v);
+    });
+    second_gather = d.Gather(seg, [](const RecvObject&) {});
+  });
+
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].sender, 0);
+  EXPECT_EQ(got[0].iter, 3u);
+  EXPECT_EQ(got[0].bytes.size(), sizeof(double));
+  EXPECT_EQ(values[0], 7.5);
+  EXPECT_EQ(second_gather, 0);
+}
+
 }  // namespace
 }  // namespace malt

@@ -2,8 +2,8 @@
 // completions, dead peers produce error completions, bad handles produce
 // kInvalidRkey, the fixed-capacity region table rejects overflow and is torn
 // down by MarkDead, float-add accumulators survive concurrent posters, striped
-// seqlock guards detect torn reads under a racing writer, and TrafficStats
-// aggregates across the matrix. Threaded cases run clean under TSan
+// seqlock guards detect torn reads under a racing writer, and the fabric.*
+// traffic counters aggregate across the matrix. Threaded cases run clean under TSan
 // (tools/check.sh MALT_SANITIZE=thread stage).
 
 #include "src/shmem/shmem_transport.h"
@@ -20,6 +20,10 @@ namespace {
 
 std::span<const std::byte> AsBytes(const void* p, size_t n) {
   return {static_cast<const std::byte*>(p), n};
+}
+
+int64_t RankCounter(ShmemTransport& t, int rank, const char* name) {
+  return t.telemetry().rank(rank).metrics.CounterValue(name);
 }
 
 TEST(ShmemTransport, WriteLandsWithCompletionAndStats) {
@@ -44,9 +48,9 @@ TEST(ShmemTransport, WriteLandsWithCompletionAndStats) {
   EXPECT_EQ(t.PollCq(0, c), 0);
   EXPECT_FALSE(t.CqNonEmpty(0));
 
-  EXPECT_EQ(t.stats().TxBytes(0), static_cast<int64_t>(sizeof(value)));
-  EXPECT_EQ(t.stats().RxBytes(1), static_cast<int64_t>(sizeof(value)));
-  EXPECT_EQ(t.stats().TxMessages(0), 1);
+  EXPECT_EQ(RankCounter(t, 0, "fabric.bytes_sent"), static_cast<int64_t>(sizeof(value)));
+  EXPECT_EQ(RankCounter(t, 1, "fabric.bytes_received"), static_cast<int64_t>(sizeof(value)));
+  EXPECT_EQ(RankCounter(t, 0, "fabric.writes_posted"), 1);
 }
 
 TEST(ShmemTransport, DeadNodeWriteCompletesRemoteDead) {
@@ -92,10 +96,10 @@ TEST(ShmemTransport, DeregisteredRegionRejectsWrites) {
 // fatal check on that node, not a silent overwrite of another region.
 TEST(ShmemTransportDeathTest, RegisterPastCapacityIsFatal) {
   ShmemTransport t(2);
-  for (uint32_t i = 0; i < ShmemTransport::kMaxRegionsPerNode; ++i) {
+  for (uint32_t i = 0; i < kMaxRegionsPerNode; ++i) {
     EXPECT_EQ(t.RegisterMemory(1, 8).rkey, i);
   }
-  EXPECT_TRUE(t.Registered(MrHandle{1, ShmemTransport::kMaxRegionsPerNode - 1}));
+  EXPECT_TRUE(t.Registered(MrHandle{1, kMaxRegionsPerNode - 1}));
   EXPECT_EQ(t.RegisterMemory(0, 8).rkey, 0u);  // the other node's table is separate
   EXPECT_DEATH((void)t.RegisterMemory(1, 8), "node 1 registers more than 64 regions");
 }
@@ -106,7 +110,7 @@ TEST(ShmemTransportDeathTest, RegisterPastCapacityIsFatal) {
 TEST(ShmemTransport, UnpublishedRkeyCompletesInvalidRkey) {
   ShmemTransport t(2);
   (void)t.RegisterMemory(1, 16);  // rkey 0; rkey 1 is never registered
-  const uint32_t max = ShmemTransport::kMaxRegionsPerNode;
+  const uint32_t max = kMaxRegionsPerNode;
   const uint64_t v = 5;
   const float f = 1.0f;
   for (const uint32_t rkey : {1u, max, max + 1, ~0u}) {
@@ -183,24 +187,32 @@ TEST(ShmemTransport, ConcurrentFloatAddsNeverLoseUpdates) {
 }
 
 // A reader racing a striped writer either gets a fully consistent snapshot
-// or a torn-read failure — never a mixed payload.
+// or a torn-read failure — never a mixed payload. The race lasts until the
+// writer has completed kWrites writes and the reader has made kReads
+// attempts: bounding it by writer progress means a writer descheduled
+// inside its seqlock window cannot use up the reader's attempts.
 TEST(ShmemTransport, StripedGuardsDetectTornReads) {
   const size_t slot = 64;
+  constexpr uint64_t kWrites = 20000;
+  constexpr int kReads = 20000;
   ShmemTransport t(2);
   const MrHandle mr = t.RegisterMemory(1, slot, /*guard_stripe_bytes=*/slot);
 
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> writes_done{0};
   std::thread writer([&] {
     std::vector<std::byte> pattern(slot);
     for (uint64_t round = 1; !stop.load(std::memory_order_relaxed); ++round) {
       std::memset(pattern.data(), static_cast<int>(round & 0xff), slot);
       ASSERT_TRUE(t.PostWrite(0, t.now(), mr, 0, pattern).ok());
+      writes_done.store(round, std::memory_order_relaxed);
     }
   });
 
   int consistent = 0;
   std::vector<std::byte> snap(slot);
-  for (int i = 0; i < 20000; ++i) {
+  for (int reads = 0; reads < kReads || writes_done.load(std::memory_order_relaxed) < kWrites;
+       ++reads) {
     if (!t.Read(mr, 0, snap)) {
       continue;  // torn: write in flight — the defined failure mode
     }
@@ -214,8 +226,8 @@ TEST(ShmemTransport, StripedGuardsDetectTornReads) {
   EXPECT_GT(consistent, 0) << "reader never saw a stable snapshot";
 }
 
-// Satellite: TrafficStats aggregate accessors cover the whole matrix.
-TEST(ShmemTransport, TrafficStatsTotalsAggregateAllPairs) {
+// The fabric.* counters, summed over ranks, cover the whole matrix.
+TEST(ShmemTransport, TrafficCountersAggregateAllPairs) {
   const int n = 3;
   ShmemTransport t(n);
   MrHandle mr[n];
@@ -236,10 +248,11 @@ TEST(ShmemTransport, TrafficStatsTotalsAggregateAllPairs) {
       ++expect_msgs;
     }
   }
-  EXPECT_EQ(t.stats().TotalBytes(), expect_bytes);
-  EXPECT_EQ(t.stats().TotalMessages(), expect_msgs);
-  EXPECT_EQ(t.stats().TxBytes(0), int64_t{2} * sizeof(payload));
-  EXPECT_EQ(t.stats().RxBytes(2), int64_t{2} * sizeof(payload));
+  const MetricRegistry total = t.telemetry().Merged();
+  EXPECT_EQ(total.CounterValue("fabric.bytes_sent"), expect_bytes);
+  EXPECT_EQ(total.CounterValue("fabric.writes_posted"), expect_msgs);
+  EXPECT_EQ(RankCounter(t, 0, "fabric.bytes_sent"), int64_t{2} * sizeof(payload));
+  EXPECT_EQ(RankCounter(t, 2, "fabric.bytes_received"), int64_t{2} * sizeof(payload));
 }
 
 // The SPSC ring's index arithmetic never resets: head/tail increase

@@ -226,7 +226,7 @@ TEST(Engine, DestroyedWithoutRunReleasesBodies) {
   {
     Engine engine;
     for (int pid = 0; pid < 8; ++pid) {
-      engine.AddProcess("p" + std::to_string(pid),
+      engine.AddProcess(std::string("p").append(std::to_string(pid)),
                         [payload](Process& p) { p.Advance(payload->at(0)); });
     }
     engine.ScheduleEvent(100, [payload] { (void)payload; });
@@ -271,7 +271,7 @@ TEST(Engine, DeterministicTraceAcrossRuns) {
     engine.EnableTrace();
     int counter = 0;
     for (int pid = 0; pid < 4; ++pid) {
-      engine.AddProcess("p" + std::to_string(pid), [&, pid](Process& p) {
+      engine.AddProcess(std::string("p").append(std::to_string(pid)), [&, pid](Process& p) {
         for (int i = 0; i < 10; ++i) {
           p.Advance(100 + 37 * pid);
           ++counter;
@@ -291,7 +291,7 @@ TEST(Engine, ManyProcessesAllFinish) {
     int finished = 0;
     int max_threads = 0;
     for (int pid = 0; pid < procs; ++pid) {
-      engine.AddProcess("p" + std::to_string(pid), [&, pid](Process& p) {
+      engine.AddProcess(std::string("p").append(std::to_string(pid)), [&, pid](Process& p) {
         for (int i = 0; i < 5; ++i) {
           p.Advance(1 + pid);
         }

@@ -37,7 +37,8 @@ TEST_P(RandomWorkloadSweep, ClocksMonotoneAndDeterministic) {
     Fnv1a hash;
     const int procs = 6;
     for (int pid = 0; pid < procs; ++pid) {
-      engine.AddProcess("p" + std::to_string(pid), [pid, seed, &hash](Process& p) {
+      const std::string name = std::string("p").append(std::to_string(pid));
+      engine.AddProcess(name, [pid, seed, &hash](Process& p) {
         Xoshiro256 rng(seed * 1000 + static_cast<uint64_t>(pid));
         SimTime last = p.now();
         for (int step = 0; step < 200; ++step) {
@@ -115,7 +116,7 @@ TEST(SimProperties, BarrierStormNoDeadlock) {
   DstormDomain domain(fabric, 12);
   int completed = 0;
   for (int rank = 0; rank < 12; ++rank) {
-    engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
+    engine.AddProcess(std::string("r").append(std::to_string(rank)), [&, rank](Process& p) {
       Dstorm& d = domain.node(rank);
       d.Bind(p);
       Xoshiro256 rng(static_cast<uint64_t>(rank) + 1);
@@ -142,7 +143,7 @@ TEST(SimProperties, ScatterStormDeliversFreshest) {
   bool receiver_ok = true;
 
   for (int rank = 0; rank < 3; ++rank) {
-    engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
+    engine.AddProcess(std::string("r").append(std::to_string(rank)), [&, rank](Process& p) {
       Dstorm& d = domain.node(rank);
       d.Bind(p);
       SegmentOptions opts;
@@ -195,7 +196,7 @@ TEST(SimProperties, LostUpdatesAccountedUnderOverrun) {
   const int kSent = 100;
 
   for (int rank = 0; rank < 2; ++rank) {
-    engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
+    engine.AddProcess(std::string("r").append(std::to_string(rank)), [&, rank](Process& p) {
       Dstorm& d = domain.node(rank);
       d.Bind(p);
       SegmentOptions opts;

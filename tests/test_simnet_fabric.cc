@@ -196,12 +196,16 @@ TEST(Fabric, TrafficAccounting) {
     p.WaitUntil([&] { return fabric.OutstandingWrites(0) == 0; });
   });
   engine.Run();
-  EXPECT_EQ(fabric.stats().TxBytes(0), 300);
-  EXPECT_EQ(fabric.stats().RxBytes(1), 100);
-  EXPECT_EQ(fabric.stats().RxBytes(2), 200);
-  EXPECT_EQ(fabric.stats().TxMessages(0), 3);
-  EXPECT_EQ(fabric.stats().TotalBytes(), 300);
-  EXPECT_EQ(fabric.stats().TotalMessages(), 3);
+  auto counter = [&](int rank, const char* name) {
+    return fabric.telemetry().rank(rank).metrics.CounterValue(name);
+  };
+  EXPECT_EQ(counter(0, "fabric.bytes_sent"), 300);
+  EXPECT_EQ(counter(1, "fabric.bytes_received"), 100);
+  EXPECT_EQ(counter(2, "fabric.bytes_received"), 200);
+  EXPECT_EQ(counter(0, "fabric.writes_posted"), 3);
+  const MetricRegistry total = fabric.telemetry().Merged();
+  EXPECT_EQ(total.CounterValue("fabric.bytes_sent"), 300);
+  EXPECT_EQ(total.CounterValue("fabric.writes_posted"), 3);
 }
 
 TEST(Fabric, TornWritesApplyInTwoHalves) {
@@ -239,7 +243,7 @@ TEST(Fabric, FloatAddAccumulatesAtomically) {
   MrHandle mr = fabric.RegisterMemory(2, 4 * sizeof(float));
 
   for (int sender : {0, 1}) {
-    engine.AddProcess("s" + std::to_string(sender), [&, sender](Process& p) {
+    engine.AddProcess(std::string("s").append(std::to_string(sender)), [&, sender](Process& p) {
       const float values[4] = {1.0f, 2.0f, 3.0f, static_cast<float>(sender)};
       for (int round = 0; round < 5; ++round) {
         p.WaitUntil([&] { return fabric.HasSendRoom(sender); });

@@ -34,7 +34,8 @@ Rules:
                   thread-safety analysis (-Werror=thread-safety) sees every
                   lock.
   raw-atomic      In the model-checked protocol code (src/base/seqlock.h,
-                  src/base/ring_buffer.h, src/shmem/), direct std::atomic /
+                  src/base/ring_buffer.h, src/base/region_table.h,
+                  src/shmem/), direct std::atomic /
                   std::atomic_ref / std::atomic_flag / std::atomic_thread_fence
                   use bypasses the mc:: shim (src/base/mc.h), so the
                   interleaving checker would not see those sync points and its
@@ -96,7 +97,8 @@ FIBER_HOME = ("src/base/fiber.h", "src/base/fiber.cc")
 # Model-checked protocol code: every atomic op must route through the mc::
 # shim so the interleaving checker sees it as a sync point. memory_order
 # tokens are deliberately NOT matched (they parameterize the shim).
-MC_SHIM_SCOPE = ("src/base/seqlock.h", "src/base/ring_buffer.h", "src/shmem/")
+MC_SHIM_SCOPE = ("src/base/seqlock.h", "src/base/ring_buffer.h", "src/base/region_table.h",
+                 "src/shmem/")
 RAW_ATOMIC = re.compile(
     r"std::atomic(?:_ref|_flag|_thread_fence|_signal_fence)?\b|"
     r"\bATOMIC_FLAG_INIT\b|"
@@ -140,7 +142,7 @@ def lint_lines(rel: str, lines: list, findings: list) -> None:
                                  "raw memcpy/memset into segment memory; use "
                                  "Transport::Write/PostWrite so the seqlock and "
                                  "the checker see the store"))
-            if RAW_SPAN.search(stripped) and "TrafficStats" not in stripped:
+            if RAW_SPAN.search(stripped):
                 findings.append((rel, lineno, "segment-write",
                                  "raw Transport::Data() span outside the "
                                  "transport implementations; use Read/Write"))
